@@ -17,14 +17,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import __version__
 from .homology import (
     ConsistencyError,
+    _atomic_write_text,
     divisor_profile,
     five_term_data,
     h2_certificate,
@@ -106,7 +107,7 @@ def build_parser() -> _Parser:
             + " (F-tags select harvest families; "
             "'lemmas'/'presentations' select verify suites)",
         )
-        sp.add_argument("--threads", type=int, default=1, help="worker budget; results are thread-count independent")
+        sp.add_argument("--threads", type=int, default=1, help="recorded in meta.threads; runs are single-process")
         sp.add_argument("--cache-dir", default=None, help="checkpoint directory for matrices and normal forms")
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
 
@@ -165,13 +166,14 @@ def _verify_presentation(n: int) -> dict:
         "failures": failures,
     }
     if n <= 5:
+        gersten = gersten_relators(n)
         g_bad = [
             label
-            for label, word in gersten_relators(n)
+            for label, word in gersten
             if not eval_xword(n, word).is_identity()
         ]
         block["gersten"] = {
-            "relators": len(gersten_relators(n)),
+            "relators": len(gersten),
             "failures": g_bad,
         }
         failures.extend(g_bad)
@@ -273,9 +275,10 @@ def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
         pres = harvest(cfg.n, coeff, families=cfg.family_tags)
         t1 = time.monotonic()
         if cfg.cache_dir:
-            dump_path = Path(cfg.cache_dir) / f"relations-n{cfg.n}-{coeff}.mat"
-            dump_path.parent.mkdir(parents=True, exist_ok=True)
-            dump_path.write_text(pres.matrix.dump())
+            _atomic_write_text(
+                os.path.join(cfg.cache_dir, f"relations-n{cfg.n}-{coeff}.mat"),
+                pres.matrix.dump(),
+            )
         data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
         if data.image_rank > pres.bound:
             raise ConsistencyError(
@@ -354,7 +357,7 @@ def _emit(cfg: RunConfig, body: dict, timings: dict) -> None:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.out:
-        Path(cfg.out).write_text(text)
+        _atomic_write_text(cfg.out, text)
     else:
         sys.stdout.write(text)
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import presentation, words
-from .nielsen import COEFF_SPACES, H, HDUAL, induced_matrix
+from .nielsen import COEFF_SPACES, H, induced_matrix
 from .presentation import GenSym, gen_count, gen_index, reduced_relators, symbol_aut
 from .words import Word
 
@@ -208,12 +208,16 @@ def letter_action(n: int, coeff: str, s: int) -> SmallMatrix:
     return tuple(tuple(row) for row in m)
 
 
+@lru_cache(maxsize=300000)
 def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
-    """Action matrix of pi(xw) on the coefficient space."""
-    out = _eye_small(n)
-    for y in xw:
-        out = _mat_mul_small(out, letter_action(n, coeff, y))
-    return out
+    """Action matrix of pi(xw) on the coefficient space.
+
+    Built by suffix recursion, so words that share a tail (the conjugators
+    of a harvest) share its cached product.
+    """
+    if not xw:
+        return _eye_small(n)
+    return _mat_mul_small(letter_action(n, coeff, xw[0]), word_action(n, coeff, xw[1:]))
 
 
 def evaluate_ring_elt(n: int, coeff: str, e: GroupRingElt) -> SmallMatrix:
@@ -772,6 +776,10 @@ def _atomic_write_text(path: str, text: str) -> None:
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
+        # mkstemp creates 0600; give the file the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -961,12 +969,6 @@ def five_term_data(
         modp_ranks=modp,
         timings=timings,
     )
-
-
-def h1_of_autplus(n: int, coeff: str, cache_dir: str | None = None) -> LModule:
-    """H_1 of the special automorphism group with the chosen coefficients,
-    over L: cokernel of the relator columns inside ker(d1)."""
-    return five_term_data(n, coeff, cache_dir=cache_dir).h1
 
 
 # -- the degree-two certificate ----------------------------------------

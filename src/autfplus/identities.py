@@ -16,22 +16,22 @@ an inverse-pair product (``eq41_null``) around the order-4 monomial word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import words
 from .words import Word
+from .nielsen import monomial_letter_perm
 from .presentation import (
     check_rank,
     embed_E,
-    eval_xword,
     format_xword,
     h_xword,
+    is_relator_elt,
     letters_of_symbol,
     r_xword,
     reduced_relators,
-    twist_letter,
     twist_xword,
     w_xword,
 )
@@ -73,14 +73,9 @@ def _word_table(n: int) -> dict:
 @lru_cache(maxsize=None)
 def _sound_labels(n: int) -> frozenset:
     bad = [rel.label for rel in reduced_relators(n)
-           if not eval_xword(n, rel.word).is_identity()]
+           if not is_relator_elt(n, rel.word)]
     assert not bad, f"canonical relators not sound at n={n}: {bad[:4]}"
     return frozenset(_label_table(n))
-
-
-@lru_cache(maxsize=None)
-def _is_relator_word(n: int, xw: Word) -> bool:
-    return eval_xword(n, xw).is_identity()
 
 
 def relator_word(n: int, rid: RelatorId) -> Word:
@@ -139,7 +134,7 @@ class RelatorExpression:
             if isinstance(f.relator, str):
                 if f.relator not in sound:
                     raise ValueError(f"unknown relator label {f.relator!r}")
-            elif not _is_relator_word(self.n, words.reduce_word(f.relator)):
+            elif not is_relator_elt(self.n, words.reduce_word(f.relator)):
                 raise ValueError("factor relator does not evaluate to the "
                                  "identity automorphism")
 
@@ -197,7 +192,7 @@ def certify(lhs: Word, rhs: RelatorExpression) -> IdentityCertificate:
     automorphism); anything else is a hard error, not a failed certificate.
     """
     lhs = words.reduce_word(lhs)
-    if not _is_relator_word(rhs.n, lhs):
+    if not is_relator_elt(rhs.n, lhs):
         raise ValueError("lhs does not evaluate to the identity automorphism")
     residual = words.multiply(words.inverse(lhs), expand(rhs))
     return IdentityCertificate(lhs, rhs, residual)
@@ -470,8 +465,8 @@ def eq21_null(n: int, a: int, b: int, c: int, d: int,
     winv = words.inverse(w_xword(n, a, b))
     X = _conj_factors(canon_r(n, c, d, e), winv)
     T = conj_transport(n, a, b, V).factors
-    C = canon_r(n, twist_letter(a, b, c), twist_letter(a, b, d),
-                twist_letter(a, b, e))
+    C = canon_r(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d),
+                monomial_letter_perm(a, b, e))
     null = RelatorExpression(n, X + T + _inv_factors(C))
     return certify((), null)
 
@@ -487,7 +482,7 @@ def eq41_null(n: int, a: int, b: int, c: int, d: int) -> IdentityCertificate:
     winv = words.inverse(w_xword(n, a, b))
     X = _conj_factors(canon_h(n, c, d), winv)
     T = conj_transport(n, a, b, V).factors
-    C = canon_h(n, twist_letter(a, b, c), twist_letter(a, b, d))
+    C = canon_h(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d))
     null = RelatorExpression(n, X + T + _inv_factors(C))
     return certify((), null)
 

@@ -15,15 +15,14 @@ Conventions fixed once and enforced by tests:
   induced_matrix(t) @ induced_matrix(s)``;
 - the coefficient modules carry *left* actions: on the abelianization H
   the action of s is by ``induced_matrix(inverse of s)``, on the dual
-  H* by ``induced_matrix(s)`` transposed.
+  H* by ``induced_matrix(s)`` transposed (``homology.letter_action``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Word, inverse, multiply, reduce_word
+from .words import Word, inverse, reduce_word
 
 Matrix = list[list[int]]
 
@@ -213,57 +212,3 @@ def is_special(s: Automorphism) -> bool:
 H = "H"
 HDUAL = "Hdual"
 COEFF_SPACES = (H, HDUAL)
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    space: str
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        assert self.space in COEFF_SPACES, self.space
-
-
-def basis_vector(space: str, p: int, n: int) -> CoeffVector:
-    assert 1 <= p <= n
-    return CoeffVector(space, tuple(1 if k == p else 0 for k in range(1, n + 1)))
-
-
-def _mat_vec(m: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(m[r][c] * v[c] for c in range(len(v))) for r in range(len(m)))
-
-
-def _mat_t_vec(m: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(m[r][c] * v[r] for r in range(len(v))) for c in range(len(m)))
-
-
-def act_coeff(s, v: CoeffVector, n: int | None = None) -> CoeffVector:
-    """Left module action of s on a coefficient vector.
-
-    s may be an Automorphism, or a letter pair (a, b) naming a Nielsen
-    map (closed forms, no matrix work).  The H-action of s is by the
-    matrix of s^-1; the dual action is by the transpose of the matrix
-    of s itself — the two standard mutually-contragredient conventions.
-    """
-    if isinstance(s, tuple):
-        a, b = s
-        return _act_symbol(a, b, v)
-    assert isinstance(s, Automorphism)
-    if v.space == H:
-        return CoeffVector(H, _mat_vec(induced_matrix(s.inverse()), v.coords))
-    return CoeffVector(HDUAL, _mat_t_vec(induced_matrix(s), v.coords))
-
-
-def _act_symbol(a: int, b: int, v: CoeffVector) -> CoeffVector:
-    """Closed-form action of the Nielsen map with letter pair (a, b)."""
-    i, j = abs(a), abs(b)
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    coords = list(v.coords)
-    if v.space == H:
-        # e_i -> e_i - (sign a)(sign b) e_j ; others fixed
-        coords[j - 1] -= sa * sb * v.coords[i - 1]
-    else:
-        # e_j* -> e_j* + (sign a)(sign b) e_i* ; others fixed
-        coords[i - 1] += sa * sb * v.coords[j - 1]
-    return CoeffVector(v.space, tuple(coords))

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import words
-from .nielsen import Automorphism, compose, identity_aut, monomial_letter_perm, nielsen_aut
+from .nielsen import Automorphism, identity_aut, monomial_letter_perm, nielsen_aut
 from .words import Word
 
 MIN_RANK = 3
@@ -71,6 +73,7 @@ def gen_index(n: int, i: int, eps: int, j: int) -> int:
     return block + off + 1
 
 
+@lru_cache(maxsize=None)
 def gen_symbols(n: int) -> tuple[GenSym, ...]:
     out = []
     for i in range(1, n + 1):
@@ -129,17 +132,11 @@ def r_xword(n: int, a: int, c: int, b: int) -> Word:
 
 # -- evaluation map pi: F -> Aut^+ -------------------------------------
 
-_NIELSEN_CACHE: dict[tuple[int, int], Automorphism] = {}
 
-
+@lru_cache(maxsize=None)
 def symbol_aut(n: int, s: int) -> Automorphism:
     """Automorphism named by a signed alphabet index."""
-    key = (n, s)
-    hit = _NIELSEN_CACHE.get(key)
-    if hit is None:
-        a, b = letters_of_symbol(n, s)
-        hit = _NIELSEN_CACHE[key] = nielsen_aut(n, a, b)
-    return hit
+    return nielsen_aut(n, *letters_of_symbol(n, s))
 
 
 def eval_xword(n: int, xw: Word) -> Automorphism:
@@ -150,6 +147,7 @@ def eval_xword(n: int, xw: Word) -> Automorphism:
     return out
 
 
+@lru_cache(maxsize=None)
 def is_relator_elt(n: int, xw: Word) -> bool:
     return eval_xword(n, xw).is_identity()
 
@@ -169,8 +167,11 @@ def _fam(label: str, family: str, indices: Sequence[int], word: Word) -> Relator
     return Relator(label, family, tuple(indices), word)
 
 
-def reduced_relators(n: int) -> list[Relator]:
+@lru_cache(maxsize=None)
+def reduced_relators(n: int) -> tuple[Relator, ...]:
     """All relator instances of the reduced presentation, stable order.
+
+    Built once per rank; the tuple is shared by every caller.
 
     Families are enumerated over *ordered* tuples of pairwise distinct
     indices, exactly as the patterns are written; symmetric patterns thus
@@ -216,16 +217,17 @@ def reduced_relators(n: int) -> list[Relator]:
         add("R4-1", (i, j), h_xword(n, i, j))
     for i, j in permutations(range(1, n + 1), 2):
         add("R5-1", (i, j), words.power(w_xword(n, i, j), 4))
-    return rels
+    return tuple(rels)
 
 
 FAMILIES = ("R2-1", "R2-2", "R2-3", "R2-4", "R2-5", "R2-6", "R2-7", "R2-8",
             "R3-1", "R3-2", "R3-3", "R3-4", "R4-1", "R5-1")
 
 
-def relator_index(n: int) -> dict[str, int]:
-    """label -> 0-based position in reduced_relators(n) (stable)."""
-    return {r.label: k for k, r in enumerate(reduced_relators(n))}
+@lru_cache(maxsize=None)
+def relator_index(n: int) -> Mapping[str, int]:
+    """label -> 0-based position in reduced_relators(n) (stable, read-only)."""
+    return MappingProxyType({r.label: k for k, r in enumerate(reduced_relators(n))})
 
 
 # -- classical letter-pair presentation (small-rank cross-checks) -------
@@ -314,16 +316,11 @@ def dump_presentation(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def twist_letter(a: int, b: int, c: int) -> int:
-    """Letter permutation of the monomial map for (a, b), applied to c."""
-    return monomial_letter_perm(a, b, c)
-
-
 def twist_xword(n: int, a: int, b: int, xw: Word) -> Word:
     """Apply the monomial letter permutation symbol-wise to an xword."""
     out: list[int] = []
     for s in xw:
         c, d = letters_of_symbol(n, s)
-        e = embed_E(n, twist_letter(a, b, c), twist_letter(a, b, d))
+        e = embed_E(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d))
         out.extend(e)
     return words.reduce_word(out)

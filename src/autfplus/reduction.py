@@ -21,21 +21,22 @@ residual elementary divisors.
 from __future__ import annotations
 
 import heapq
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import identities, presentation, words
+from . import presentation, words
 from .homology import (
     IntMatrix,
     LModule,
     SmallMatrix,
     column_echelon,
-    letter_action,
+    is_unit_in_L,
+    phi_matrix,
     snf,
     two_adic_split,
+    word_action,
 )
 from .identities import (
     Factor,
@@ -78,16 +79,6 @@ class GenIndex:
         return f"{self.relator}(x)e{self.basis}"
 
 
-@lru_cache(maxsize=None)
-def _relator_order(n: int) -> dict:
-    return relator_index(n)
-
-
-@lru_cache(maxsize=None)
-def _relator_labels(n: int) -> tuple:
-    return tuple(r.label for r in reduced_relators(n))
-
-
 def generator_count_E(n: int) -> int:
     """|E| = |R| * n."""
     return len(reduced_relators(n)) * n
@@ -95,11 +86,11 @@ def generator_count_E(n: int) -> int:
 
 def flat_index(n: int, g: GenIndex) -> int:
     assert 1 <= g.basis <= n
-    return _relator_order(n)[g.relator] * n + (g.basis - 1)
+    return relator_index(n)[g.relator] * n + (g.basis - 1)
 
 
 def unflatten(n: int, col: int) -> GenIndex:
-    return GenIndex(_relator_labels(n)[col // n], col % n + 1)
+    return GenIndex(reduced_relators(n)[col // n].label, col % n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -108,29 +99,12 @@ def _family_rank_by_col(n: int) -> tuple:
     # then inverse-pair products, leaving the triangle relators to survive.
     order = {"R5": 0, "R2": 1, "R4": 2, "R3": 3, "R1": 1}
     out = []
-    for label in _relator_labels(n):
-        out.extend([order[label.split("-")[0]]] * n)
+    for rel in reduced_relators(n):
+        out.extend([order[rel.label.split("-")[0]]] * n)
     return tuple(out)
 
 
 # -- folding -----------------------------------------------------------
-
-
-@lru_cache(maxsize=300000)
-def _action_of(n: int, coeff: str, u: Word) -> SmallMatrix:
-    # Suffix-shared product of letter action matrices (conjugators across
-    # the harvest share long tails, so the cache hit rate is high).
-    if not u:
-        idm = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-        return idm
-    head = letter_action(n, coeff, u[0])
-    tail = _action_of(n, coeff, u[1:])
-    return tuple(
-        tuple(sum(head[i][k] * tail[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def fold_matrix(n: int, coeff: str, u: Word) -> SmallMatrix:
@@ -140,14 +114,14 @@ def fold_matrix(n: int, coeff: str, u: Word) -> SmallMatrix:
     acting on the p-th basis vector; both coefficient modules go through
     the same formula because the action of a word is multiplicative.
     """
-    return _action_of(n, coeff, words.inverse(words.reduce_word(u)))
+    return word_action(n, coeff, words.inverse(words.reduce_word(u)))
 
 
 def fold(n: int, u: Word, rid: str, p: int, coeff: str) -> dict[int, int]:
     """Sparse row of (u r u^-1) tensor e_p on the generating set, as a dict
     keyed by flat generator index."""
     m = fold_matrix(n, coeff, u)
-    base = _relator_order(n)[rid] * n
+    base = relator_index(n)[rid] * n
     return {base + i: m[i][p - 1] for i in range(n) if m[i][p - 1]}
 
 
@@ -162,7 +136,7 @@ def relation_from_null(cert: IdentityCertificate, coeff: str) -> list[dict[int, 
         raise ValueError(f"refusing rows from an unverified certificate: {cert.status}")
     expr = cert.rhs
     n = expr.n
-    order = _relator_order(n)
+    order = relator_index(n)
     rows: list[dict[int, int]] = [dict() for _ in range(n)]
     for f in expr.factors:
         m = fold_matrix(n, coeff, f.conj)
@@ -360,10 +334,6 @@ FAMILY_TAGS = tuple(tag for tag, _, _ in FAMILIES)
 
 
 # -- the elimination engine --------------------------------------------
-
-
-def _is_L_unit(v: int) -> bool:
-    return v != 0 and two_adic_split(abs(v))[1] == 1
 
 
 def _normalize_row(row: dict[int, int]) -> None:
@@ -605,16 +575,33 @@ def _resolve_families(families: Sequence[str] | None) -> list[str]:
     return chosen
 
 
+def _in_ker_phi(row: dict[int, int], phi_cols: dict[int, list[tuple[int, int]]]) -> bool:
+    acc: dict[int, int] = {}
+    for g, c in row.items():
+        for i, v in phi_cols.get(g, ()):
+            acc[i] = acc.get(i, 0) + c * v
+    return not any(acc.values())
+
+
 def _collect_rows(
     n: int,
     coeff: str,
     chosen: Sequence[str],
-    recheck: str,
     progress: Callable[[str], None] | None,
 ) -> tuple[RowStore, list[FamilyReport]]:
+    """Fold every certificate of the chosen families into the row store.
+
+    Each new row is checked against the relator columns: a null expression
+    is zero in the relation module, so its row must lie in ker(phi).  That
+    check is independent of the free reduction that verified the
+    certificate.  Duplicates differ from a checked row by a power of 2 and
+    zero rows lie in every kernel, so new rows are all that need checking.
+    """
     ncols = generator_count_E(n)
     store = RowStore(ncols)
-    rng = random.Random(0xA77F)
+    phi_cols: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), v in phi_matrix(n, coeff).data.items():
+        phi_cols.setdefault(j, []).append((i, v))
     reports: list[FamilyReport] = []
     for tag, name, builder in FAMILIES:
         if tag not in chosen:
@@ -626,11 +613,6 @@ def _collect_rows(
                 raise HarvestError(
                     f"{tag}/{name} instance {inst}: certificate failed ({cert.status})"
                 )
-            if recheck == "full" or (recheck == "sample" and rng.random() < 0.01):
-                if identities.expand(cert.rhs) != cert.lhs:
-                    raise HarvestError(
-                        f"{tag}/{name} instance {inst}: re-verification failed"
-                    )
             certified += 1
             for row in relation_from_null(cert, coeff):
                 rows += 1
@@ -638,6 +620,10 @@ def _collect_rows(
                 if res == "zero":
                     zeros += 1
                 elif res == "new":
+                    if not _in_ker_phi(row, phi_cols):
+                        raise HarvestError(
+                            f"{tag}/{name} instance {inst}: relation row is not in ker(phi)"
+                        )
                     news += 1
         reports.append(
             FamilyReport(tag, name, instances, certified, rows, zeros, news)
@@ -654,21 +640,15 @@ def harvest(
     n: int,
     coeff: str,
     families: Sequence[str] | None = None,
-    recheck: str = "sample",
     progress: Callable[[str], None] | None = None,
 ) -> ModulePresentation:
     """Collect all family rows, run exact elimination over L, and bound
-    the minimal generator count of the presented module.
-
-    recheck: "none", "sample" (deterministic 1% re-verification of the
-    certificates), or "full".
-    """
+    the minimal generator count of the presented module."""
     assert coeff in COEFF_SPACES, coeff
-    assert recheck in ("none", "sample", "full"), recheck
     presentation.check_rank(n)
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
-    store, reports = _collect_rows(n, coeff, chosen, recheck, progress)
+    store, reports = _collect_rows(n, coeff, chosen, progress)
     if progress:
         progress(f"collected {len(store.rows)} unique rows; eliminating")
     elim = ExactEliminator(n, ncols, store.rows)
@@ -715,7 +695,7 @@ def modp_scout(
     assert coeff in COEFF_SPACES, coeff
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
-    store, _ = _collect_rows(n, coeff, chosen, "none", progress)
+    store, _ = _collect_rows(n, coeff, chosen, progress)
     pivmat = np.zeros((ncols, ncols), dtype=np.int8)
     pivrow_of_col = np.full(ncols, -1, dtype=np.int32)
     r = 0
@@ -765,10 +745,10 @@ def _account(
             mat.data[(col_of[c], j)] = v
     ech = column_echelon(mat)
     divisors = snf(ech).nonzero_divisors()
-    units = sum(1 for d in divisors if _is_L_unit(d))
+    units = sum(1 for d in divisors if is_unit_in_L(d))
     free = nsurv - len(divisors)
     torsion = tuple(
-        two_adic_split(abs(d))[1] for d in divisors if not _is_L_unit(d)
+        two_adic_split(abs(d))[1] for d in divisors if not is_unit_in_L(d)
     )
     module = LModule(free_rank=free, torsion=torsion)
     return nsurv - units, divisors, module
@@ -799,7 +779,7 @@ def survivor_basis(n: int, coeff: str, pres: ModulePresentation | None = None) -
     """
     if pres is None:
         pres = harvest(n, coeff)
-    units = sum(1 for d in pres.residual_divisors if _is_L_unit(d))
+    units = sum(1 for d in pres.residual_divisors if is_unit_in_L(d))
     if units:
         raise HarvestError(
             "residual still contains L-unit divisors; the survivor set is "

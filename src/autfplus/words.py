@@ -14,7 +14,7 @@ nothing below depends on the rank beyond optional validation.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -79,10 +79,6 @@ def power(w: Word, k: int) -> Word:
     for _ in range(k):
         out = multiply(out, base)
     return out
-
-
-def iter_letters(w: Word) -> Iterator[int]:
-    return iter(w)
 
 
 def validate_word(w: Iterable[int], rank: int) -> Word:

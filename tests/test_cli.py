@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +304,35 @@ def test_certify_h2_rank4_certifies_and_writes_artifacts(tmp_path, capsys):
     assert mat.nnz() == harvest["matrix"]["nnz"]
     assert (cache / "d1-n4-H.mat").exists()
     assert (cache / "phi-n4-H.mat").exists()
+
+
+def test_out_into_missing_directory_writes_a_report(tmp_path, capsys):
+    report_path = tmp_path / "not" / "yet" / "report.json"
+    code, out, _ = run_cli(capsys, "homology", "--n", "3", "--out", str(report_path))
+    assert code == EXIT_OK
+    assert out == ""
+    doc = load_report(report_path.read_text())
+    assert doc["meta"]["report_hash"] == body_hash(doc["body"])
+    assert sorted(p.name for p in report_path.parent.iterdir()) == ["report.json"]
+    # the atomic write leaves the permissions a plain write would
+    plain = tmp_path / "plain.json"
+    plain.write_text("")
+    assert report_path.stat().st_mode == plain.stat().st_mode
+
+
+# The benchmark's report-hash gate, read from its own file so the promise of
+# byte-identical bodies is enforced by the test suite as well.
+_EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command,n", [("verify", 3), ("certify-h2", 3), ("homology", 5)])
+def test_report_hash_matches_benchmark_expectation(capsys, command, n):
+    want = _EXPECTED[command][str(n)]
+    code, out, _ = run_cli(capsys, command, "--n", str(n))
+    assert code == want["exit"]
+    assert load_report(out)["meta"]["report_hash"] == want["report_hash"]
 
 
 def test_certify_h2_family_subset_is_reported(capsys):

@@ -37,7 +37,6 @@ from autfplus.homology import (
     five_term_data,
     fox_derivative,
     fox_derivative_right,
-    h1_of_autplus,
     h2_certificate,
     is_unit_in_L,
     letter_action,
@@ -136,6 +135,14 @@ def test_group_ring_reduces_keys():
 # -- coefficient actions ------------------------------------------------
 
 
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
 def test_word_action_is_multiplicative():
     n = 3
     u = (1, -3, 2)
@@ -144,14 +151,19 @@ def test_word_action_is_multiplicative():
         a = word_action(n, coeff, u)
         b = word_action(n, coeff, v)
         ab = word_action(n, coeff, words.multiply(u, v))
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        assert ab == prod
-    assert word_action(n, "H", ()) == tuple(
-        tuple(int(i == j) for j in range(n)) for i in range(n)
-    )
+        assert ab == _matmul(a, b)
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert word_action(n, "H", ()) == eye
+    # longer words, against a plain left-to-right product of letter actions
+    rng = random.Random(29)
+    X = gen_count(n)
+    for coeff in ("H", "Hdual"):
+        for length in (7, 12, 20, 31):
+            w = tuple(rng.choice((1, -1)) * rng.randint(1, X) for _ in range(length))
+            prod = eye
+            for y in w:
+                prod = _matmul(prod, letter_action(n, coeff, y))
+            assert word_action(n, coeff, w) == prod
 
 
 def test_evaluate_ring_elt_is_linear():
@@ -368,7 +380,7 @@ def test_five_term_small_rank_values(n, coeff):
 
 
 def test_h1_convenience_wrapper():
-    assert str(h1_of_autplus(3, "Hdual")) == "L"
+    assert str(five_term_data(3, "Hdual").h1) == "L"
 
 
 def test_h2_certificate_accepts_and_rejects():

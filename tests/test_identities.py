@@ -35,12 +35,12 @@ from autfplus.identities import (
     transport_chain,
     transport_target,
 )
+from autfplus.nielsen import monomial_letter_perm
 from autfplus.presentation import (
     embed_E,
     eval_xword,
     h_xword,
     r_xword,
-    twist_letter,
     twist_xword,
     w_xword,
 )
@@ -113,7 +113,7 @@ def test_inverted_pair_commutator_rewrite_directions():
 def test_pair_transport_missing_middle_factor_rejected():
     n, a, b, c, d = 4, 1, 2, 3, 4
     E = lambda x, y: embed_E(n, x, y)
-    tw = lambda x: twist_letter(a, b, x)
+    tw = lambda x: monomial_letter_perm(a, b, x)
     w = w_xword(n, a, b)
     winv = inverse(w)
 

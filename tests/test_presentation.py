@@ -24,7 +24,6 @@ from autfplus.presentation import (
     reduced_relators,
     relator_index,
     symbol_of,
-    twist_letter,
     twist_xword,
     w_xword,
 )
@@ -69,6 +68,14 @@ def test_relator_counts(n):
     assert [idx[lb] for lb in labels] == list(range(len(labels)))
 
 
+def test_per_rank_tables_are_built_once():
+    # every module shares one relator tuple and one symbol tuple per rank
+    assert reduced_relators(4) is reduced_relators(4)
+    assert isinstance(reduced_relators(4), tuple)
+    assert gen_symbols(4) is gen_symbols(4)
+    assert relator_index(4) is relator_index(4)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_relators_evaluate_to_identity(n):
     for rel in reduced_relators(n):
@@ -98,13 +105,6 @@ def test_w_and_h_words_evaluate_correctly():
     assert w2.apply((1,)) == (-1,) and w2.apply((2,)) == (-2,)
     assert eval_xword(n, h_xword(n, 1, 2)).is_identity()
     assert is_relator_elt(n, h_xword(n, 1, 2))
-
-
-def test_twist_letter_cases():
-    assert twist_letter(1, 2, 1) == -2
-    assert twist_letter(1, 2, 2) == 1
-    assert twist_letter(1, 2, -1) == 2
-    assert twist_letter(1, 2, 3) == 3
 
 
 def test_twist_is_conjugation_by_the_monomial_word():

@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from autfplus.homology import LModule, five_term_data, snf, two_adic_split
+from autfplus import reduction
+from autfplus.homology import LModule, five_term_data, phi_matrix, snf, two_adic_split
 from autfplus.identities import Factor, canon_h, certify, expression
-from autfplus.presentation import embed_E, h_xword
+from autfplus.presentation import embed_E, h_xword, relator_index
 from autfplus.reduction import (
     FAMILY_TAGS,
     ExactEliminator,
@@ -23,7 +24,6 @@ from autfplus.reduction import (
     ModulePresentation,
     RowStore,
     _account,
-    _relator_order,
     _resolve_families,
     flat_index,
     fold,
@@ -63,7 +63,7 @@ def test_fold_closed_forms():
     n = 4
     u = embed_E(n, 1, 2)
     lab = "R3-1(1,2,3)"
-    base = _relator_order(n)[lab] * n
+    base = relator_index(n)[lab] * n
     assert fold(n, u, lab, 3, "H") == {base + 2: 1}
     assert fold(n, u, lab, 1, "H") == {base + 0: 1, base + 1: 1}
     assert fold(n, u, lab, 2, "Hdual") == {base + 1: 1, base + 0: -1}
@@ -253,9 +253,30 @@ def test_harvest_input_validation():
     with pytest.raises(ValueError):
         harvest(3, "H", families=("bogus",))
     with pytest.raises(AssertionError):
-        harvest(3, "H", recheck="sometimes")
-    with pytest.raises(AssertionError):
         harvest(3, "Q")
+
+
+def test_harvest_rejects_rows_outside_ker_phi(monkeypatch):
+    # corrupt the first harvested row on a generator whose relator column
+    # is nonzero; the row is new to the store, so the ker(phi) check sees it
+    phi = phi_matrix(3, "H")
+    g = min(j for _, j in phi.data)
+    real = reduction.relation_from_null
+    calls = []
+
+    def corrupted(cert, coeff):
+        rows = real(cert, coeff)
+        if not calls:
+            row = rows[0]
+            row[g] = row.get(g, 0) + 1
+            if not row[g]:
+                del row[g]
+        calls.append(cert)
+        return rows
+
+    monkeypatch.setattr(reduction, "relation_from_null", corrupted)
+    with pytest.raises(HarvestError, match="ker"):
+        harvest(3, "H")
 
 
 # -- survivor reporting -------------------------------------------------
