@@ -251,6 +251,10 @@ def _homology_block(data) -> dict:
     }
 
 
+def _rounded(timings: dict) -> dict:
+    return {k: round(v, 3) for k, v in timings.items()}
+
+
 def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:
     results: dict = {}
     timings: dict = {}
@@ -258,7 +262,10 @@ def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:
         t0 = time.monotonic()
         data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
         results[coeff] = _homology_block(data)
-        timings[coeff] = round(time.monotonic() - t0, 3)
+        timings[coeff] = {
+            "total": round(time.monotonic() - t0, 3),
+            "five_term": _rounded(data.timings),
+        }
     body = {"command": "homology", "n": cfg.n, "results": results}
     return EXIT_OK, body, timings
 
@@ -271,8 +278,14 @@ def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
     timings: dict = {}
     worst = EXIT_OK
     for coeff in cfg.coeffs:
+        prefix = f"certify-h2 n={cfg.n} {coeff}"
         t0 = time.monotonic()
-        pres = harvest(cfg.n, coeff, families=cfg.family_tags)
+        pres = harvest(
+            cfg.n,
+            coeff,
+            families=cfg.family_tags,
+            progress=lambda msg: print(f"{prefix}: {msg}", file=sys.stderr),
+        )
         t1 = time.monotonic()
         if cfg.cache_dir:
             _atomic_write_text(
@@ -327,12 +340,15 @@ def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
         }
         timings[coeff] = {
             "harvest": round(t1 - t0, 3),
+            **_rounded(pres.timings),
             "homology_and_certificate": round(t2 - t1, 3),
+            "five_term": _rounded(data.timings),
+            "eliminator": pres.stats,
         }
         if not cert.ok:
             worst = max(worst, EXIT_BOUND)
         print(
-            f"certify-h2 n={cfg.n} {coeff}: bound {pres.bound}, "
+            f"{prefix}: bound {pres.bound}, "
             f"image rank {data.image_rank} -> "
             + ("certified" if cert.ok else f"NOT certified ({cert.reason})"),
             file=sys.stderr,

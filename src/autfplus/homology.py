@@ -185,13 +185,6 @@ def _eye_small(n: int) -> SmallMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_mul_small(a: SmallMatrix, b: SmallMatrix) -> SmallMatrix:
-    k = range(len(b))
-    return tuple(
-        tuple(sum(ra[t] * b[t][j] for t in k) for j in range(len(b[0]))) for ra in a
-    )
-
-
 @lru_cache(maxsize=None)
 def letter_action(n: int, coeff: str, s: int) -> SmallMatrix:
     """Matrix of the coefficient action of the symbol s (signed index) on M.
@@ -208,6 +201,36 @@ def letter_action(n: int, coeff: str, s: int) -> SmallMatrix:
     return tuple(tuple(row) for row in m)
 
 
+@lru_cache(maxsize=None)
+def _letter_rows(n: int, coeff: str, s: int) -> tuple:
+    """Rows of letter_action as tuples of their nonzero (t, v) entries, with
+    None standing for a row of the identity."""
+    out = []
+    for i, row in enumerate(letter_action(n, coeff, s)):
+        entries = tuple((t, v) for t, v in enumerate(row) if v)
+        out.append(None if entries == ((i, 1),) else entries)
+    return tuple(out)
+
+
+def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
+    """letter_action(n, coeff, s) times m, touching only the letter's
+    nonzero entries; identity rows reuse the row of m as it is."""
+    out = []
+    for i, entries in enumerate(_letter_rows(n, coeff, s)):
+        if entries is None:
+            out.append(m[i])
+            continue
+        acc = None
+        for t, v in entries:
+            mt = m[t]
+            if acc is None:
+                acc = mt if v == 1 else [v * x for x in mt]
+            else:
+                acc = [a + v * x for a, x in zip(acc, mt)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 @lru_cache(maxsize=300000)
 def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
     """Action matrix of pi(xw) on the coefficient space.
@@ -217,7 +240,7 @@ def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
     """
     if not xw:
         return _eye_small(n)
-    return _mat_mul_small(letter_action(n, coeff, xw[0]), word_action(n, coeff, xw[1:]))
+    return _letter_times(n, coeff, xw[0], word_action(n, coeff, xw[1:]))
 
 
 def evaluate_ring_elt(n: int, coeff: str, e: GroupRingElt) -> SmallMatrix:
@@ -385,8 +408,8 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
 
     Column (r, p) carries, in each symbol block x, the evaluated right
     derivative of r with respect to x applied to the p-th basis vector.
-    Assembled incrementally with suffix action matrices, one small matrix
-    product per letter.
+    Assembled incrementally with suffix action matrices, one letter times
+    a small matrix per letter.
     """
     presentation.check_rank(n)
     rels = reduced_relators(n)
@@ -398,7 +421,7 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
         s = len(w)
         suffix = [eye] * (s + 1)
         for t in range(s - 1, -1, -1):
-            suffix[t] = _mat_mul_small(letter_action(n, coeff, w[t]), suffix[t + 1])
+            suffix[t] = _letter_times(n, coeff, w[t], suffix[t + 1])
         blocks: dict[int, list[list[int]]] = {}
         for t, y in enumerate(w):
             sym = abs(y)
@@ -597,11 +620,8 @@ def snf(a: "IntMatrix | Sequence[Sequence[int]]") -> SNFResult:
 def two_adic_split(d: int) -> tuple[int, int]:
     """d = 2^k * odd, d > 0: return (k, odd)."""
     assert d > 0
-    k = 0
-    while d % 2 == 0:
-        d //= 2
-        k += 1
-    return k, d
+    k = (d & -d).bit_length() - 1
+    return k, d >> k
 
 
 def is_unit_in_L(d: int) -> bool:

@@ -149,13 +149,21 @@ class RelatorExpression:
         return RelatorExpression(self.n, _conj_factors(self.factors, u))
 
     def expand(self) -> Word:
+        # u, r^{+-1} and u^-1 of every factor go straight onto one reduction
+        # stack; free reduction is confluent, so no factor is reduced first
+        n = self.n
         out: list = []
+        push, pop = out.append, out.pop
         for f in self.factors:
-            for s in f.word(self.n):
+            u = f.conj
+            r = relator_word(n, f.relator)
+            if f.exponent == -1:
+                r = words.inverse(r)
+            for s in u + r + words.inverse(u):
                 if out and out[-1] == -s:
-                    out.pop()
+                    pop()
                 else:
-                    out.append(s)
+                    push(s)
         return tuple(out)
 
 
@@ -217,27 +225,38 @@ def canon_commutator(n: int, pair1, pair2) -> tuple:
     commuting-pair relator (empty when the two letters coincide)."""
     (s,) = embed_E(n, *pair1)
     (t,) = embed_E(n, *pair2)
-    return _canon_comm_letters(n, s, t)
+    fs = _canon_comm_letters(n, s, t)
+    if fs is None:
+        raise ValueError(
+            f"[{format_xword(n, (s,))}, {format_xword(n, (t,))}] "
+            "is not a commuting-pair relator")
+    return fs
 
 
 @lru_cache(maxsize=None)
-def _canon_comm_letters(n: int, s: int, t: int) -> tuple:
+def _canon_comm_letters(n: int, s: int, t: int) -> tuple | None:
+    """canon_commutator on signed letters; None when [s, t] is not a
+    commuting-pair relator (callers probing rungs expect such misses)."""
     target = words.commutator((s,), (t,))
     if not target:
         return ()
     if s < 0:
         # [x^-1, y] = x^-1 [y, x] x
-        fs = _conj_factors(_canon_comm_letters(n, t, -s), (s,))
+        inner = _canon_comm_letters(n, t, -s)
+        u = (s,)
     elif t < 0:
         # [x, y^-1] = y^-1 [y, x] y
-        fs = _conj_factors(_canon_comm_letters(n, -t, s), (t,))
+        inner = _canon_comm_letters(n, -t, s)
+        u = (t,)
     else:
         hit = _word_table(n).get(target)
         if hit is None:
-            raise ValueError(
-                f"[{format_xword(n, (s,))}, {format_xword(n, (t,))}] "
-                "is not a commuting-pair relator")
-        fs = (Factor((), hit[0], hit[1]),)
+            return None
+        inner = (Factor((), hit[0], hit[1]),)
+        u = ()
+    if inner is None:
+        return None
+    fs = _conj_factors(inner, u)
     return _certified_factors(n, target, fs, "canon_commutator")
 
 

@@ -21,7 +21,8 @@ residual elementary divisors.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
@@ -161,14 +162,16 @@ def relation_from_null(cert: IdentityCertificate, coeff: str) -> list[dict[int, 
 NullStream = Iterator[tuple[tuple, IdentityCertificate]]
 
 
-def _ladder_factors(n: int, body: Word, z: int) -> tuple:
+def _ladder_factors(n: int, body: Word, z: int) -> tuple | None:
     """Letterwise commutator ladder: [y_1...y_s, z] as a product of
     conjugated commuting-pair relators, factor order t = s..1 with
-    conjugator the length-(t-1) prefix.  Raises ValueError when some rung
-    is not a commuting pair."""
+    conjugator the length-(t-1) prefix.  None when some rung is not a
+    commuting pair."""
     fs: list[Factor] = []
     for t in range(len(body) - 1, -1, -1):
         rung = _canon_comm_letters(n, body[t], z)
+        if rung is None:
+            return None
         fs.extend(_conj_factors(rung, body[:t]))
     return tuple(fs)
 
@@ -192,9 +195,8 @@ def _f2_commutation_ladders(n: int) -> NullStream:
         if rel.family.startswith("R2"):
             continue  # commuting pairs are the rungs, not the bodies
         for z in signed:
-            try:
-                ladder = _ladder_factors(n, rel.word, z)
-            except ValueError:
+            ladder = _ladder_factors(n, rel.word, z)
+            if ladder is None:
                 continue
             route_b = (Factor((), rel.label, 1), Factor((z,), rel.label, -1))
             null = RelatorExpression(n, ladder + _inv_factors(route_b))
@@ -213,9 +215,8 @@ def _f2_commutation_ladders(n: int) -> NullStream:
                         c, d = letters_of_symbol(n, z)
                         if {abs(c), abs(d)} & {a, b}:
                             continue
-                        try:
-                            ladder = _ladder_factors(n, body, z)
-                        except ValueError:
+                        ladder = _ladder_factors(n, body, z)
+                        if ladder is None:
                             continue
                         T = base_case(n, sa * a, sb * b, c, d)
                         null = RelatorExpression(
@@ -383,29 +384,38 @@ class RowStore:
 _KMAX = 2
 
 
-def _eligible(v: int) -> int | None:
-    """2-adic valuation if v may serve as a pivot (+-2^k, k small)."""
-    k, odd = two_adic_split(abs(v))
-    return k if odd == 1 and k <= _KMAX else None
+# The entries that may serve as pivots, +-2^k with k <= _KMAX, mapped to k.
+_ELIGIBLE: dict[int, int] = {s << k: k for k in range(_KMAX + 1) for s in (1, -1)}
 
 
-def _merge(row: dict[int, int], piv: dict[int, int], c: int) -> None:
-    """row <- 2^k * row - s*v * piv, clearing column c (pivot entry s*2^k)."""
+def _merge(row: dict[int, int], piv: dict[int, int], c: int) -> tuple[list[int], list[int]]:
+    """row <- 2^k * row - s*v * piv, clearing column c (pivot entry s*2^k).
+
+    Returns the columns the row lost and the columns it gained.
+    """
     u = piv[c]
     k = two_adic_split(abs(u))[0]
-    s = 1 if u > 0 else -1
     v = row[c]
     if k:
         for cc in row:
             row[cc] <<= k
-    mult = s * v
+    mult = v if u > 0 else -v
+    lost: list[int] = []
+    gained: list[int] = []
     for cc, pv in piv.items():
-        nv = row.get(cc, 0) - mult * pv
-        if nv:
-            row[cc] = nv
+        old = row.get(cc)
+        if old is None:
+            row[cc] = -mult * pv
+            gained.append(cc)
         else:
-            row.pop(cc, None)
+            nv = old - mult * pv
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+                lost.append(cc)
     assert c not in row
+    return lost, gained
 
 
 class ExactEliminator:
@@ -432,6 +442,12 @@ class ExactEliminator:
                 self.col_rows.setdefault(c, set()).add(rid)
         self.pivot_cols: list[int] = []
         self.pivot_rows: list[dict[int, int]] = []
+        # heap pops by what they found, merges, and (after finish) the
+        # largest entry bit-length over the pivot and residual rows
+        self.stats: dict[str, int] = dict.fromkeys(
+            ("dead_row", "column_gone", "ineligible", "score_raised",
+             "score_lowered", "retired", "merges", "max_bits"), 0
+        )
         self._heap: list[tuple] = []
         for rid in range(len(self.rows)):
             self._push_best(rid)
@@ -441,13 +457,16 @@ class ExactEliminator:
         if not row:
             return None
         fam = self.fam_rank
+        col_rows = self.col_rows
         nr = len(row) - 1
         best = None
         for c, v in row.items():
-            k = _eligible(v)
+            k = _ELIGIBLE.get(v)
             if k is None:
                 continue
-            score = nr * (len(self.col_rows[c]) - 1)
+            score = nr * (len(col_rows[c]) - 1)
+            if best is not None and score > best[0]:
+                continue
             key = (score, k, fam[c], c, rid)
             if best is None or key < best:
                 best = key
@@ -470,50 +489,58 @@ class ExactEliminator:
 
     def run(self) -> None:
         heap = self._heap
+        rows = self.rows
+        col_rows = self.col_rows
+        fam_rank = self.fam_rank
+        push_best = self._push_best
+        heappop, heappush = heapq.heappop, heapq.heappush
+        st = self.stats
         while heap:
-            score, k, fam, c, rid = heapq.heappop(heap)
-            row = self.rows[rid]
-            if not row or c not in row:
-                self._push_best(rid)
+            entry = heappop(heap)
+            score, k, fam, c, rid = entry
+            row = rows[rid]
+            if not row:
+                st["dead_row"] += 1  # a dead row has no entry to push again
                 continue
-            kk = _eligible(row[c])
+            v = row.get(c)
+            if v is None:
+                st["column_gone"] += 1
+                push_best(rid)
+                continue
+            kk = _ELIGIBLE.get(v)
             if kk is None:
-                self._push_best(rid)
+                st["ineligible"] += 1
+                push_best(rid)
                 continue
-            cur = (
-                (len(row) - 1) * (len(self.col_rows[c]) - 1),
-                kk,
-                self.fam_rank[c],
-                c,
-                rid,
-            )
-            if cur != (score, k, fam, c, rid):
-                heapq.heappush(heap, cur)
+            cur = ((len(row) - 1) * (len(col_rows[c]) - 1), kk, fam_rank[c], c, rid)
+            if cur != entry:
+                st["score_raised" if cur > entry else "score_lowered"] += 1
+                heappush(heap, cur)
                 continue
             # retire (rid, c) and clear column c everywhere else
+            st["retired"] += 1
             piv = row
             self._drop_row(rid)
             self.pivot_cols.append(c)
             self.pivot_rows.append(piv)
-            for rid2 in sorted(self.col_rows.get(c, ())):
-                tgt = self.rows[rid2]
-                before = set(tgt)
-                _merge(tgt, piv, c)
+            for rid2 in sorted(col_rows.get(c, ())):
+                tgt = rows[rid2]
+                lost, gained = _merge(tgt, piv, c)
+                st["merges"] += 1
                 _normalize_row(tgt)
-                after = set(tgt)
-                for cc in before - after:
-                    s = self.col_rows.get(cc)
+                for cc in lost:
+                    s = col_rows.get(cc)
                     if s is not None:
                         s.discard(rid2)
                         if not s:
-                            del self.col_rows[cc]
-                for cc in after - before:
-                    self.col_rows.setdefault(cc, set()).add(rid2)
+                            del col_rows[cc]
+                for cc in gained:
+                    col_rows.setdefault(cc, set()).add(rid2)
                 if not tgt:
-                    self.rows[rid2] = None
+                    rows[rid2] = None
                 else:
-                    self._push_best(rid2)
-            self.col_rows.pop(c, None)
+                    push_best(rid2)
+            col_rows.pop(c, None)
 
     def finish(self) -> tuple[list[int], list[dict[int, int]]]:
         self.run()
@@ -526,6 +553,10 @@ class ExactEliminator:
             if key not in seen:
                 seen.add(key)
                 cleaned.append(row)
+        self.stats["max_bits"] = max(
+            (abs(v).bit_length() for r in self.pivot_rows + cleaned for v in r.values()),
+            default=0,
+        )
         pivset = set(self.pivot_cols)
         survivors = [c for c in range(self.ncols) if c not in pivset]
         return survivors, cleaned
@@ -558,6 +589,10 @@ class ModulePresentation:
     residual_rows: int
     residual_divisors: tuple[int, ...]
     manifest: tuple[FamilyReport, ...]
+    # not part of any certificate: the eliminator's counters and the
+    # seconds spent collecting and eliminating rows
+    stats: dict[str, int] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
 
     def survivor_indices(self) -> tuple[GenIndex, ...]:
         return tuple(unflatten(self.n, c) for c in self.survivors)
@@ -648,7 +683,9 @@ def harvest(
     presentation.check_rank(n)
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
+    t0 = time.perf_counter()
     store, reports = _collect_rows(n, coeff, chosen, progress)
+    t1 = time.perf_counter()
     if progress:
         progress(f"collected {len(store.rows)} unique rows; eliminating")
     elim = ExactEliminator(n, ncols, store.rows)
@@ -660,6 +697,7 @@ def harvest(
         )
     bound, divisors, module = _account(len(survivors), survivors, residual_rows)
     matrix = _compact_matrix(elim.pivot_rows, residual_rows, ncols)
+    timings = {"collect": t1 - t0, "eliminate": time.perf_counter() - t1}
     return ModulePresentation(
         n=n,
         coeff=coeff,
@@ -672,6 +710,8 @@ def harvest(
         residual_rows=len(residual_rows),
         residual_divisors=divisors,
         manifest=tuple(reports),
+        stats=elim.stats,
+        timings=timings,
     )
 
 

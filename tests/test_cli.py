@@ -167,6 +167,7 @@ def test_report_hash_matches_canonical_body(capsys):
     assert meta["threads"] == 1
     assert "version" in meta
     assert set(meta["timings"]) == {"H"}
+    assert "image_snf" in meta["timings"]["H"]["five_term"]
 
 
 def test_report_body_stable_across_runs_and_thread_counts(capsys):
@@ -267,8 +268,9 @@ def test_certify_h2_rank4_certifies_and_writes_artifacts(tmp_path, capsys):
         str(report_path),
     )
     assert code == EXIT_OK
-    assert out == ""  # report went to the file, stderr keeps the progress line
+    assert out == ""  # report went to the file, stderr keeps the progress lines
     assert "certified" in err
+    assert "certify-h2 n=4 H: F3 conjugation_transport:" in err  # per-family progress
 
     doc = load_report(report_path.read_text())
     assert doc["meta"]["report_hash"] == body_hash(doc["body"])
@@ -293,6 +295,14 @@ def test_certify_h2_rank4_certifies_and_writes_artifacts(tmp_path, capsys):
     assert cert["bound"] == 92
     assert "surjection" in cert["argument"]
     assert cert["transfer"]
+
+    # run telemetry lives in meta only
+    timings = doc["meta"]["timings"]["H"]
+    assert timings["eliminator"]["retired"] == harvest["pivots"]
+    assert {"collect", "eliminate", "harvest"} <= set(timings)
+    assert set(timings["five_term"]) == {
+        "assemble", "chain_check", "d1_snf", "echelon", "image_snf", "modp_check"
+    }
 
     dump = cache / "relations-n4-H.mat"
     assert dump.exists()

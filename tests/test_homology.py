@@ -28,6 +28,7 @@ from autfplus.homology import (
     IntMatrix,
     LModule,
     SNFResult,
+    _letter_times,
     _phi_matrix_left_derivative,
     check_chain_condition,
     column_echelon,
@@ -164,6 +165,18 @@ def test_word_action_is_multiplicative():
             for y in w:
                 prod = _matmul(prod, letter_action(n, coeff, y))
             assert word_action(n, coeff, w) == prod
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_letter_times_matches_the_plain_product(n):
+    # every signed letter, both modules, against the triple-loop product
+    rng = random.Random(100 + n)
+    X = gen_count(n)
+    for coeff in ("H", "Hdual"):
+        for s in [*range(1, X + 1), *range(-X, 0)]:
+            for _ in range(3):
+                m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+                assert _letter_times(n, coeff, s, m) == _matmul(letter_action(n, coeff, s), m)
 
 
 def test_evaluate_ring_elt_is_linear():
@@ -309,6 +322,22 @@ def test_two_adic_split_and_units():
     assert two_adic_split(24) == (3, 3)
     assert is_unit_in_L(1) and is_unit_in_L(-8) and is_unit_in_L(128)
     assert not is_unit_in_L(0) and not is_unit_in_L(6) and not is_unit_in_L(3)
+
+
+def test_two_adic_split_matches_the_halving_loop():
+    def halving(d):
+        k = 0
+        while d % 2 == 0:
+            d //= 2
+            k += 1
+        return k, d
+
+    rng = random.Random(17)
+    samples = [*range(1, 257)]
+    samples += [rng.randint(1, 10**6) << rng.randint(0, 120) for _ in range(500)]
+    samples += [rng.getrandbits(rng.randint(1, 300)) | 1 for _ in range(100)]
+    for d in samples:
+        assert two_adic_split(d) == halving(d), d
 
 
 def test_to_L_examples():

@@ -10,6 +10,8 @@ into an acceptance -- or vice versa.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from autfplus import words
@@ -18,6 +20,7 @@ from autfplus.identities import (
     CertificationError,
     Factor,
     RelatorExpression,
+    _canon_comm_letters,
     base_case,
     base_case_tag,
     canon_commutator,
@@ -39,8 +42,10 @@ from autfplus.nielsen import monomial_letter_perm
 from autfplus.presentation import (
     embed_E,
     eval_xword,
+    gen_count,
     h_xword,
     r_xword,
+    reduced_relators,
     twist_xword,
     w_xword,
 )
@@ -266,6 +271,19 @@ def test_canon_commutator_trivial_and_bad():
 # -- base case tagging --------------------------------------------------
 
 
+def test_commutator_misses_are_a_cached_sentinel():
+    n = 3
+    (s,) = embed_E(n, 1, 2)
+    (t,) = embed_E(n, 2, 3)
+    for a, b in ((s, t), (-s, t), (s, -t), (-s, -t)):
+        assert _canon_comm_letters(n, a, b) is None
+        hits = _canon_comm_letters.cache_info().hits
+        assert _canon_comm_letters(n, a, b) is None
+        assert _canon_comm_letters.cache_info().hits == hits + 1
+    (u,) = embed_E(n, 3, 2)
+    assert _canon_comm_letters(n, s, u) == canon_commutator(n, (1, 2), (3, 2)) != ()
+
+
 def test_base_case_tags():
     assert base_case_tag(1, 2, 1, 3) == "src-hit"
     assert base_case_tag(1, 2, 2, 3) == "src-hit"
@@ -366,3 +384,23 @@ def test_expression_algebra():
     u = embed_E(n, 2, 3)
     assert expand(e.conjugated(u)) == words.conjugate(expand(e), u)
     assert expand(e * e.inverse()) == ()
+
+
+def test_expand_matches_a_factorwise_product():
+    # one reduction stack over every u, r^{+-1}, u^-1 against the product of
+    # the separately reduced factor words; conjugators are left unreduced
+    n = 4
+    rng = random.Random(23)
+    X = gen_count(n)
+    labels = [rel.label for rel in reduced_relators(n)]
+    literal = h_xword(n, 1, 2)
+    for _ in range(300):
+        fs = []
+        for _ in range(rng.randint(0, 7)):
+            conj = tuple(
+                rng.choice((1, -1)) * rng.randint(1, X) for _ in range(rng.randint(0, 6))
+            )
+            rid = literal if rng.random() < 0.1 else rng.choice(labels)
+            fs.append(Factor(conj, rid, rng.choice((1, -1))))
+        e = RelatorExpression(n, tuple(fs))
+        assert e.expand() == words.multiply(*(f.word(n) for f in fs))

@@ -8,7 +8,10 @@ must agree with what the full integer SNF says over L = Z[1/2].
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,7 +26,9 @@ from autfplus.reduction import (
     HarvestError,
     ModulePresentation,
     RowStore,
+    _KMAX,
     _account,
+    _collect_rows,
     _resolve_families,
     flat_index,
     fold,
@@ -169,6 +174,74 @@ def test_eliminator_handles_odd_only_rows():
     assert bound == 0 and module.is_trivial()
 
 
+def test_eligible_table_matches_the_valuation_rule():
+    # a pivot entry is +-2^k with k <= _KMAX, and maps to its k
+    for v in [*range(-64, 0), *range(1, 65)]:
+        d, k = abs(v), 0
+        while d % 2 == 0:
+            d //= 2
+            k += 1
+        want = k if d == 1 and k <= _KMAX else None
+        assert reduction._ELIGIBLE.get(v) == want, v
+
+
+# -- the full elimination at small rank ---------------------------------
+
+# sha256 of (pivot columns, pivot rows, residual rows) of the elimination of
+# every harvested row, rows as sorted (column, value) lists.  The report
+# body carries only the matrix's nnz, so these pin the pivot sequence
+# itself: a faster eliminator must retire the same rows in the same order.
+PIVOT_FINGERPRINTS = {
+    (3, "H"): "5545edc7b9fede7752541cd648eded90e5d9d557aded3b12fa91914c88266380",
+    (3, "Hdual"): "6e1268f034a0141218abde6b7d3c9588c5cb8815090528233ddd1696b87d0fb3",
+    (4, "H"): "85b8123244b9d2d739c35ae1f9add9b23f9f486321551cc2fa9cdced3b51532c",
+    (4, "Hdual"): "9de23a471ac8d0847ad4e8ff7a649768f21be4936377dd44946612d5f40744ed",
+}
+
+
+@lru_cache(maxsize=None)
+def _full_elimination(n: int, coeff: str):
+    store, _ = _collect_rows(n, coeff, FAMILY_TAGS, None)
+    elim = ExactEliminator(n, generator_count_E(n), store.rows)
+    _, residual = elim.finish()
+    return elim, residual
+
+
+@pytest.mark.parametrize("n, coeff", sorted(PIVOT_FINGERPRINTS))
+def test_pivot_sequence_fingerprint(n, coeff):
+    elim, residual = _full_elimination(n, coeff)
+    doc = [
+        elim.pivot_cols,
+        [sorted(r.items()) for r in elim.pivot_rows],
+        [sorted(r.items()) for r in residual],
+    ]
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == PIVOT_FINGERPRINTS[n, coeff]
+
+
+# Heap pops by what they found, merges and the largest entry bit-length at
+# n = 4: the heap traffic of the pivot search, which repeats exactly.
+ELIMINATOR_STATS = {
+    "H": {
+        "dead_row": 60551, "column_gone": 29702, "ineligible": 65,
+        "score_raised": 12575, "score_lowered": 5, "retired": 1108,
+        "merges": 60799, "max_bits": 3,
+    },
+    "Hdual": {
+        "dead_row": 54124, "column_gone": 28539, "ineligible": 17,
+        "score_raised": 7067, "score_lowered": 46, "retired": 1109,
+        "merges": 56355, "max_bits": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("coeff", sorted(ELIMINATOR_STATS))
+def test_eliminator_counters(coeff):
+    elim, _ = _full_elimination(4, coeff)
+    assert elim.stats == ELIMINATOR_STATS[coeff]
+    assert elim.stats["retired"] == len(elim.pivot_cols)
+
+
 # -- harvest at small rank ---------------------------------------------
 
 FROZEN_HARVEST = {
@@ -191,6 +264,8 @@ def test_harvest_rank3_values(harvest3H):
     assert pres.generator_count == 198
     assert pres.residual_rows == 0 and pres.residual_divisors == ()
     assert pres.pivot_count + len(pres.survivors) == pres.generator_count
+    assert pres.stats["retired"] == pres.pivot_count
+    assert set(pres.timings) == {"collect", "eliminate"}
     # the 5-letter transport family has no admissible tuples at rank 3;
     # the bound is honest but cannot reach the kernel rank (33)
     f3 = [r for r in pres.manifest if r.tag == "F3"][0]
