@@ -280,9 +280,6 @@ class IntMatrix:
         else:
             self.data.pop((i, j), None)
 
-    def add_at(self, i: int, j: int, v: int) -> None:
-        self.set(i, j, self.data.get((i, j), 0) + v)
-
     def nnz(self) -> int:
         return len(self.data)
 
@@ -538,14 +535,12 @@ def _pick_pivot(sub: np.ndarray) -> tuple[int, int] | None:
     return best[1], best[2]
 
 
-def snf(a: "IntMatrix | Sequence[Sequence[int]]") -> SNFResult:
+def snf(a: IntMatrix) -> SNFResult:
     """Exact Smith normal form with full unimodular transform witnesses.
 
     Deterministic: pivots are chosen by (|value|, row, col), preferring
     units.  Divisors come out nonnegative in a divisibility chain.
     """
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix.from_dense(a)
     m, n = a.nrows, a.ncols
     A = a.to_object_array()
     U = _obj_eye(m)
@@ -865,14 +860,14 @@ def _echelon_cached(mat: IntMatrix, cache_dir: str | None) -> IntMatrix:
 def _matrix_checkpoint(
     name: str, n: int, coeff: str, cache_dir: str | None, builder: Callable[[int, str], IntMatrix]
 ) -> IntMatrix:
-    if cache_dir is None:
-        return builder(n, coeff)
-    path = os.path.join(cache_dir, f"{name}-n{n}-{coeff}.mat")
-    if os.path.exists(path):
-        with open(path) as f:
-            return IntMatrix.parse(f.read())
+    """Build the matrix and, given a cache dir, write it there as an artefact.
+
+    The file is keyed by its name alone, so it is never read back: an
+    edited or stale copy must not become part of a certificate.
+    """
     res = builder(n, coeff)
-    _atomic_write_text(path, res.dump())
+    if cache_dir is not None:
+        _atomic_write_text(os.path.join(cache_dir, f"{name}-n{n}-{coeff}.mat"), res.dump())
     return res
 
 
@@ -885,7 +880,6 @@ class FiveTermData:
 
     n: int
     coeff: str
-    gen_count: int
     relator_count: int
     d1: IntMatrix
     phi: IntMatrix
@@ -901,9 +895,7 @@ class FiveTermData:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def five_term_data(
-    n: int, coeff: str, cache_dir: str | None = None, deep_check: bool = False
-) -> FiveTermData:
+def five_term_data(n: int, coeff: str, cache_dir: str | None = None) -> FiveTermData:
     """Assemble d1 and the relator columns, then extract kernel and image data.
 
     ker(d1) is the kernel of an integer matrix, hence saturated, hence a
@@ -929,8 +921,6 @@ def five_term_data(
 
     t0 = time.perf_counter()
     sd1 = snf_cached(d1, cache_dir)
-    if deep_check:
-        sd1.verify(d1)
     d1_rank = sd1.rank()
     kernel_rank = d1.ncols - d1_rank
     timings["d1_snf"] = time.perf_counter() - t0
@@ -941,8 +931,6 @@ def five_term_data(
 
     t0 = time.perf_counter()
     image_snf = snf_cached(ech, cache_dir)
-    if deep_check:
-        image_snf.verify(ech)
     image_rank = image_snf.rank()
     timings["image_snf"] = time.perf_counter() - t0
 
@@ -961,12 +949,6 @@ def five_term_data(
             raise ConsistencyError(
                 f"mod-{p} rank {got} disagrees with SNF prediction {predicted}"
             )
-        if deep_check:
-            full = rank_mod_p(phi, p)
-            if full != got:
-                raise ConsistencyError(
-                    f"mod-{p} rank changed under column echelon: {full} -> {got}"
-                )
         modp[p] = got
     timings["modp_check"] = time.perf_counter() - t0
 
@@ -974,7 +956,6 @@ def five_term_data(
     return FiveTermData(
         n=n,
         coeff=coeff,
-        gen_count=gen_count(n),
         relator_count=len(reduced_relators(n)),
         d1=d1,
         phi=phi,
@@ -1034,13 +1015,7 @@ class H2Certificate:
         return TRANSFER_REMARK
 
 
-def h2_certificate(
-    n: int,
-    coeff: str,
-    bound: int,
-    cache_dir: str | None = None,
-    data: FiveTermData | None = None,
-) -> H2Certificate:
+def h2_certificate(n: int, coeff: str, bound: int, data: FiveTermData) -> H2Certificate:
     """Certify H_2 = 0 at (n, coeff) from a generator bound for the coinvariants.
 
     Succeeds iff the image of the relator columns has L-rank equal to the
@@ -1049,8 +1024,6 @@ def h2_certificate(
     missing rank is the L in the tail of the sequence).  Failure returns a
     certificate with ok=False and the offending data; nothing raises.
     """
-    if data is None:
-        data = five_term_data(n, coeff, cache_dir=cache_dir)
     assert data.n == n and data.coeff == coeff
     coker = data.h1
     expected_corank = 0 if coeff == H else 1

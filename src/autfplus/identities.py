@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from . import words
 from .words import Word
@@ -35,9 +35,6 @@ from .presentation import (
     twist_xword,
     w_xword,
 )
-
-RelatorId = Union[str, Word]
-
 
 class CertificationError(RuntimeError):
     """An identity that must hold exactly failed to free-reduce to it."""
@@ -78,26 +75,20 @@ def _sound_labels(n: int) -> frozenset:
     return frozenset(_label_table(n))
 
 
-def relator_word(n: int, rid: RelatorId) -> Word:
-    """The reduced xword of a relator id (canonical label or literal word)."""
-    if isinstance(rid, str):
-        return _label_table(n)[rid]
-    return words.reduce_word(rid)
-
-
 # -- formal conjugated-relator products --------------------------------
 
 
 @dataclass(frozen=True)
 class Factor:
-    """One ``u r^{+-1} u^-1`` term of a relator expression."""
+    """One ``u r^{+-1} u^-1`` term of a relator expression; ``relator`` is
+    a canonical label."""
 
     conj: Word
-    relator: RelatorId
+    relator: str
     exponent: int
 
     def word(self, n: int) -> Word:
-        r = relator_word(n, self.relator)
+        r = _label_table(n)[self.relator]
         if self.exponent == -1:
             r = words.inverse(r)
         return words.conjugate(r, self.conj)
@@ -131,12 +122,8 @@ class RelatorExpression:
         for f in self.factors:
             if f.exponent not in (1, -1):
                 raise ValueError(f"exponent must be +-1, got {f.exponent}")
-            if isinstance(f.relator, str):
-                if f.relator not in sound:
-                    raise ValueError(f"unknown relator label {f.relator!r}")
-            elif not is_relator_elt(self.n, words.reduce_word(f.relator)):
-                raise ValueError("factor relator does not evaluate to the "
-                                 "identity automorphism")
+            if f.relator not in sound:
+                raise ValueError(f"unknown relator label {f.relator!r}")
 
     def __mul__(self, other: "RelatorExpression") -> "RelatorExpression":
         assert self.n == other.n
@@ -151,12 +138,12 @@ class RelatorExpression:
     def expand(self) -> Word:
         # u, r^{+-1} and u^-1 of every factor go straight onto one reduction
         # stack; free reduction is confluent, so no factor is reduced first
-        n = self.n
+        table = _label_table(self.n)
         out: list = []
         push, pop = out.append, out.pop
         for f in self.factors:
             u = f.conj
-            r = relator_word(n, f.relator)
+            r = table[f.relator]
             if f.exponent == -1:
                 r = words.inverse(r)
             for s in u + r + words.inverse(u):
@@ -165,15 +152,6 @@ class RelatorExpression:
                 else:
                     push(s)
         return tuple(out)
-
-
-def expression(n: int, factors: Iterable[Factor]) -> RelatorExpression:
-    return RelatorExpression(n, tuple(factors))
-
-
-def expand(e: RelatorExpression) -> Word:
-    """Freely reduced product of the u r^{+-1} u^-1 factors of e."""
-    return e.expand()
 
 
 @dataclass(frozen=True)
@@ -194,7 +172,7 @@ class IdentityCertificate:
 
 
 def certify(lhs: Word, rhs: RelatorExpression) -> IdentityCertificate:
-    """Check lhs = expand(rhs) as reduced words in the free group.
+    """Check lhs = rhs.expand() as reduced words in the free group.
 
     lhs must itself be a relator element (evaluate to the identity
     automorphism); anything else is a hard error, not a failed certificate.
@@ -202,19 +180,20 @@ def certify(lhs: Word, rhs: RelatorExpression) -> IdentityCertificate:
     lhs = words.reduce_word(lhs)
     if not is_relator_elt(rhs.n, lhs):
         raise ValueError("lhs does not evaluate to the identity automorphism")
-    residual = words.multiply(words.inverse(lhs), expand(rhs))
+    residual = words.multiply(words.inverse(lhs), rhs.expand())
     return IdentityCertificate(lhs, rhs, residual)
 
 
-def _certified_factors(n: int, target: Word, fs: Sequence[Factor],
-                       what: str) -> tuple:
-    got = RelatorExpression(n, tuple(fs)).expand()
+def _certified(expr: RelatorExpression, target: Word,
+               what: str) -> RelatorExpression:
+    """expr, once it is checked to expand to target exactly."""
+    got = expr.expand()
     if got != target:
         residual = words.multiply(words.inverse(target), got)
         raise CertificationError(
             f"{what}: expansion disagrees with target "
             f"(residual length {len(residual)})", residual)
-    return tuple(fs)
+    return expr
 
 
 # -- canonical form of single relator instances ------------------------
@@ -257,7 +236,8 @@ def _canon_comm_letters(n: int, s: int, t: int) -> tuple | None:
     if inner is None:
         return None
     fs = _conj_factors(inner, u)
-    return _certified_factors(n, target, fs, "canon_commutator")
+    return _certified(RelatorExpression(n, fs), target,
+                      "canon_commutator").factors
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +259,8 @@ def canon_r(n: int, a: int, c: int, b: int) -> tuple:
         u = words.multiply(embed_E(n, b, c), embed_E(n, a, c))
         fs = ((Factor(u, inner[0].relator, -1),)
               + canon_commutator(n, (b, c), (a, c)))
-    return _certified_factors(n, target, fs, f"canon_r({a},{c},{b})")
+    return _certified(RelatorExpression(n, fs), target,
+                      f"canon_r({a},{c},{b})").factors
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +281,8 @@ def canon_h(n: int, a: int, b: int) -> tuple:
         fs = (Factor(words.inverse(w_xword(n, a, -b)), label, -1),)
     else:
         fs = (Factor((), label, -1),)
-    return _certified_factors(n, target, fs, f"canon_h({a},{b})")
+    return _certified(RelatorExpression(n, fs), target,
+                      f"canon_h({a},{b})").factors
 
 
 # -- single-generator conjugation base cases ---------------------------
@@ -413,8 +395,8 @@ def base_case(n: int, a: int, b: int, c: int, d: int) -> tuple:
               + _conj_factors(canon_commutator(n, (-a, -b), (c, -d)), u2)
               + canon_commutator(n, (-b, a), (c, -d)))
     target = transport_target(n, a, b, E(n, c, d))
-    return _certified_factors(n, target, fs,
-                              f"base_case[{tag}] ({a},{b}|{c},{d})")
+    return _certified(RelatorExpression(n, fs), target,
+                      f"base_case[{tag}] ({a},{b}|{c},{d})").factors
 
 
 # -- inductive transport -----------------------------------------------
@@ -437,14 +419,8 @@ def conj_transport(n: int, a: int, b: int, V: Word) -> RelatorExpression:
         u_t = words.multiply(winv, words.inverse(V[t + 1:]), w)
         c, d = letters_of_symbol(n, y)
         out.extend(_conj_factors(base_case(n, a, b, c, d), u_t))
-    expr = RelatorExpression(n, tuple(out))
-    target = transport_target(n, a, b, V)
-    got = expr.expand()
-    if got != target:
-        raise CertificationError(
-            "conj_transport expansion disagrees with its target",
-            words.multiply(words.inverse(target), got))
-    return expr
+    return _certified(RelatorExpression(n, tuple(out)),
+                      transport_target(n, a, b, V), "conj_transport")
 
 
 def transport_chain(n: int, pairs: Sequence, V: Word) -> RelatorExpression:
@@ -661,12 +637,10 @@ SUITE_FAMILIES = (
 )
 
 
-def identity_suite(n: int, families: Sequence = None) -> Iterator[SuiteEntry]:
+def identity_suite(n: int) -> Iterator[SuiteEntry]:
     """Stream every suite instance; heavy families last."""
     check_rank(n)
-    for name, gen in SUITE_FAMILIES:
-        if families is not None and name not in families:
-            continue
+    for _, gen in SUITE_FAMILIES:
         yield from gen(n)
 
 

@@ -32,6 +32,7 @@ from .homology import (
     IntMatrix,
     LModule,
     SmallMatrix,
+    _lmodule_from_cokernel,
     column_echelon,
     is_unit_in_L,
     phi_matrix,
@@ -715,13 +716,7 @@ def harvest(
     )
 
 
-def modp_scout(
-    n: int,
-    coeff: str,
-    families: Sequence[str] | None = None,
-    p: int = 3,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[int, int]:
+def modp_scout(n: int, coeff: str, families: Sequence[str] | None = None) -> tuple[int, int]:
     """Fast lower reconnaissance of the bound: (generators - rank mod p).
 
     Reducing mod an odd prime can only keep MORE divisors invertible than
@@ -735,7 +730,8 @@ def modp_scout(
     assert coeff in COEFF_SPACES, coeff
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
-    store, _ = _collect_rows(n, coeff, chosen, progress)
+    store, _ = _collect_rows(n, coeff, chosen, None)
+    p = 3  # pivot rows are stored as int8: residues of 128 or more would wrap
     pivmat = np.zeros((ncols, ncols), dtype=np.int8)
     pivrow_of_col = np.full(ncols, -1, dtype=np.int32)
     r = 0
@@ -772,26 +768,20 @@ def modp_scout(
 def _account(
     nsurv: int, survivors: list[int], residual_rows: list[dict[int, int]]
 ) -> tuple[int, tuple[int, ...], LModule]:
-    """Read the bound off the residual: B = survivors - L-unit divisors."""
-    if not residual_rows:
-        module = LModule(free_rank=nsurv, torsion=())
-        return nsurv, (), module
-    col_of = {c: k for k, c in enumerate(survivors)}
-    # transpose (residual rows become columns), compress the column lattice
-    # by sparse integer echelon, then factor the slab that's left
-    mat = IntMatrix(len(survivors), len(residual_rows))
-    for j, row in enumerate(residual_rows):
-        for c, v in row.items():
-            mat.data[(col_of[c], j)] = v
-    ech = column_echelon(mat)
-    divisors = snf(ech).nonzero_divisors()
-    units = sum(1 for d in divisors if is_unit_in_L(d))
-    free = nsurv - len(divisors)
-    torsion = tuple(
-        two_adic_split(abs(d))[1] for d in divisors if not is_unit_in_L(d)
-    )
-    module = LModule(free_rank=free, torsion=torsion)
-    return nsurv - units, divisors, module
+    """Read the bound off the residual: B = survivors - L-unit divisors,
+    which is the minimal generator count of the cokernel over L."""
+    divisors: tuple[int, ...] = ()
+    if residual_rows:
+        col_of = {c: k for k, c in enumerate(survivors)}
+        # transpose (residual rows become columns), compress the column
+        # lattice by sparse integer echelon, then factor the slab that's left
+        mat = IntMatrix(len(survivors), len(residual_rows))
+        for j, row in enumerate(residual_rows):
+            for c, v in row.items():
+                mat.data[(col_of[c], j)] = v
+        divisors = snf(column_echelon(mat)).nonzero_divisors()
+    module = _lmodule_from_cokernel(nsurv, divisors)
+    return module.min_generators(), divisors, module
 
 
 def _compact_matrix(

@@ -225,10 +225,21 @@ def test_homology_cache_reuse_is_hash_stable(tmp_path, capsys):
     _, out_warm, _ = run_cli(
         capsys, "homology", "--n", "3", "--coeff", "Hdual", "--cache-dir", cache
     )
-    h_fresh = load_report(out_fresh)["meta"]["report_hash"]
-    h_cold = load_report(out_cold)["meta"]["report_hash"]
-    h_warm = load_report(out_warm)["meta"]["report_hash"]
-    assert h_fresh == h_cold == h_warm
+    # d1 and phi files are keyed by name alone: drop one entry from each,
+    # and a run must still rebuild the matrices rather than read the files
+    for name in ("d1-n3-Hdual.mat", "phi-n3-Hdual.mat"):
+        path = tmp_path / "cache" / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[2:]))
+    code, out_tampered, _ = run_cli(
+        capsys, "homology", "--n", "3", "--coeff", "Hdual", "--cache-dir", cache
+    )
+    assert code == EXIT_OK
+    hashes = {
+        load_report(out)["meta"]["report_hash"]
+        for out in (out_fresh, out_cold, out_warm, out_tampered)
+    }
+    assert len(hashes) == 1
     assert (tmp_path / "cache" / "d1-n3-Hdual.mat").exists()
     assert (tmp_path / "cache" / "phi-n3-Hdual.mat").exists()
 

@@ -258,13 +258,14 @@ def test_snf_matches_sympy_oracle_on_randoms():
 
 def test_snf_hidden_unit_divisor():
     # no entry is a unit, yet the lattice has a unit divisor
-    res = snf([[3, 5], [5, 3]])
+    a = IntMatrix.from_dense([[3, 5], [5, 3]])
+    res = snf(a)
     assert res.divisors == (1, 16)
-    res.verify(IntMatrix.from_dense([[3, 5], [5, 3]]))
+    res.verify(a)
 
 
 def test_snf_divisor_chain_and_determinism():
-    a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    a = IntMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     r1 = snf(a)
     r2 = snf(a)
     assert r1.divisors == r2.divisors and r1.u == r2.u and r1.v == r2.v
@@ -341,8 +342,8 @@ def test_two_adic_split_matches_the_halving_loop():
 
 
 def test_to_L_examples():
-    assert to_L(snf([[4]])).is_trivial()  # 2-powers die over L
-    assert to_L(snf([[6]])) == LModule(0, (3,))
+    assert to_L(snf(IntMatrix.from_dense([[4]]))).is_trivial()  # 2-powers die over L
+    assert to_L(snf(IntMatrix.from_dense([[6]]))) == LModule(0, (3,))
     mod = to_L(snf(IntMatrix(3, 1, {(0, 0): 12})))
     assert mod == LModule(2, (3,))
     assert mod.describe() == "L^2 + L/3"
@@ -399,13 +400,20 @@ FROZEN_SMALL = {
 
 @pytest.mark.parametrize("n,coeff", sorted(FROZEN_SMALL))
 def test_five_term_small_rank_values(n, coeff):
-    data = five_term_data(n, coeff, deep_check=(n == 3))
+    data = five_term_data(n, coeff)
     kernel, image, h1 = FROZEN_SMALL[(n, coeff)]
     assert data.kernel_rank == kernel == 2 * n * (n * n - n) - n
     assert data.image_rank == image
     assert str(data.h1) == h1
     assert all(is_unit_in_L(d) for d in data.image_divisors)
     assert data.modp_ranks, "mod-p cross checks must have run"
+    if n == 3:
+        # the witnesses of both normal forms, and mod-p ranks that the
+        # column echelon must not change
+        data.d1_snf.verify(data.d1)
+        data.image_snf.verify(data.echelon)
+        for p, r in data.modp_ranks.items():
+            assert rank_mod_p(data.phi, p) == r
 
 
 def test_h1_convenience_wrapper():
@@ -429,16 +437,23 @@ def test_h2_certificate_accepts_and_rejects():
 
 
 def test_cache_dir_checkpoints(tmp_path):
-    cache = str(tmp_path / "cache")
-    d1 = five_term_data(3, "H", cache_dir=cache)
+    cache = tmp_path / "cache"
+    d1 = five_term_data(3, "H", cache_dir=str(cache))
     files = sorted(os.listdir(cache))
-    assert "d1-n3-H.mat" in files and "phi-n3-H.mat" in files
-    assert any(f.startswith("snf-") for f in files)
-    assert any(f.startswith("echelon-") for f in files)
-    stamps = {f: os.path.getmtime(os.path.join(cache, f)) for f in files}
-    d2 = five_term_data(3, "H", cache_dir=cache)
+    artefacts = [cache / "d1-n3-H.mat", cache / "phi-n3-H.mat"]
+    keyed = [cache / f for f in files if f.startswith(("snf-", "echelon-"))]
+    assert all(p.exists() for p in artefacts)
+    assert {p.name.split("-")[0] for p in keyed} == {"snf", "echelon"}
+    before = {p: p.read_bytes() for p in artefacts}
+    stamps = {p: p.stat().st_mtime_ns for p in keyed}
+    for p in artefacts:
+        os.utime(p, ns=(0, 0))  # backdated, so that a rewrite shows
+    d2 = five_term_data(3, "H", cache_dir=str(cache))
     assert sorted(os.listdir(cache)) == files
-    assert all(os.path.getmtime(os.path.join(cache, f)) == stamps[f] for f in files)
+    # d1 and phi are written again, byte for byte the same, while the
+    # content-keyed entries are read back
+    assert all(p.read_bytes() == before[p] and p.stat().st_mtime_ns for p in artefacts)
+    assert all(p.stat().st_mtime_ns == stamps[p] for p in keyed)
     assert d1.image_divisors == d2.image_divisors
     assert d1.d1 == d2.d1 and d1.echelon == d2.echelon
 

@@ -17,6 +17,7 @@ import pytest
 from autfplus import words
 from autfplus.identities import (
     BASE_CASES,
+    SUITE_FAMILIES,
     CertificationError,
     Factor,
     RelatorExpression,
@@ -30,8 +31,6 @@ from autfplus.identities import (
     conj_transport,
     eq21_null,
     eq41_null,
-    expand,
-    expression,
     identity_suite,
     power_split_null,
     suite_summary,
@@ -71,13 +70,13 @@ def test_suite_rank3_all_verified():
 def test_suite_rank4_spot_families():
     fams = ("triangle-target-inversion", "sample-commutator-rewrite",
             "fourth-power-halving")
-    entries = list(identity_suite(4, families=fams))
+    entries = [e for name, gen in SUITE_FAMILIES if name in fams for e in gen(4)]
     assert entries and all(e.certificate.verified for e in entries)
     assert {e.family.split("[")[0] for e in entries} == set(fams)
 
 
 def test_suite_entry_lines_are_tagged():
-    entry = next(iter(identity_suite(3, families=("pair-swap-sign-cases",))))
+    entry = next(iter(dict(SUITE_FAMILIES)["pair-swap-sign-cases"](3)))
     assert entry.line().endswith("verified")
     assert entry.family == "pair-swap-sign-cases"
 
@@ -331,7 +330,7 @@ def test_transport_chain_two_pairs():
     u = multiply(w_xword(n, 1, 2), w_xword(n, 2, 3))
     twisted = twist_xword(n, 2, 3, twist_xword(n, 1, 2, V))
     target = multiply(inverse(multiply(inverse(u), V, u)), twisted)
-    assert expand(expr) == target
+    assert expr.expand() == target
 
 
 def test_conj_transport_validates_pair():
@@ -346,14 +345,14 @@ def test_conj_transport_validates_pair():
 
 def test_certify_rejects_non_relator_lhs():
     n = 3
-    expr = expression(n, canon_h(n, 1, 2))
+    expr = RelatorExpression(n, canon_h(n, 1, 2))
     with pytest.raises(ValueError):
         certify(embed_E(n, 1, 2), expr)
 
 
 def test_certificate_reports_failure_with_residual():
     n = 3
-    expr = expression(n, canon_h(n, 1, 2))
+    expr = RelatorExpression(n, canon_h(n, 1, 2))
     cert = certify(h_xword(n, 1, 3), expr)  # wrong target, still a relator
     assert not cert.verified
     assert cert.residual
@@ -370,20 +369,21 @@ def test_certification_error_carries_residual():
 def test_expression_validation():
     n = 3
     with pytest.raises(ValueError):
-        expression(n, (Factor((), "R9-9(1,2)", 1),))
+        RelatorExpression(n, (Factor((), "R9-9(1,2)", 1),))
     with pytest.raises(ValueError):
-        expression(n, (Factor((), "R4-1(1,2)", 2),))
+        RelatorExpression(n, (Factor((), "R4-1(1,2)", 2),))
     with pytest.raises(ValueError):
-        expression(n, (Factor((), embed_E(n, 1, 2), 1),))  # not a relator
+        # a literal word is not a label, even when it is a relator
+        RelatorExpression(n, (Factor((), h_xword(n, 1, 2), 1),))
 
 
 def test_expression_algebra():
     n = 3
-    e = expression(n, canon_h(n, 1, 2))
-    assert expand(e.inverse()) == inverse(expand(e))
+    e = RelatorExpression(n, canon_h(n, 1, 2))
+    assert e.inverse().expand() == inverse(e.expand())
     u = embed_E(n, 2, 3)
-    assert expand(e.conjugated(u)) == words.conjugate(expand(e), u)
-    assert expand(e * e.inverse()) == ()
+    assert e.conjugated(u).expand() == words.conjugate(e.expand(), u)
+    assert (e * e.inverse()).expand() == ()
 
 
 def test_expand_matches_a_factorwise_product():
@@ -393,14 +393,12 @@ def test_expand_matches_a_factorwise_product():
     rng = random.Random(23)
     X = gen_count(n)
     labels = [rel.label for rel in reduced_relators(n)]
-    literal = h_xword(n, 1, 2)
     for _ in range(300):
         fs = []
         for _ in range(rng.randint(0, 7)):
             conj = tuple(
                 rng.choice((1, -1)) * rng.randint(1, X) for _ in range(rng.randint(0, 6))
             )
-            rid = literal if rng.random() < 0.1 else rng.choice(labels)
-            fs.append(Factor(conj, rid, rng.choice((1, -1))))
+            fs.append(Factor(conj, rng.choice(labels), rng.choice((1, -1))))
         e = RelatorExpression(n, tuple(fs))
         assert e.expand() == words.multiply(*(f.word(n) for f in fs))

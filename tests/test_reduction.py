@@ -16,8 +16,16 @@ from functools import lru_cache
 import pytest
 
 from autfplus import reduction
-from autfplus.homology import LModule, five_term_data, phi_matrix, snf, two_adic_split
-from autfplus.identities import Factor, canon_h, certify, expression
+from autfplus.homology import (
+    IntMatrix,
+    LModule,
+    five_term_data,
+    phi_matrix,
+    rank_mod_p,
+    snf,
+    two_adic_split,
+)
+from autfplus.identities import Factor, RelatorExpression, canon_h, certify
 from autfplus.presentation import embed_E, h_xword, relator_index
 from autfplus.reduction import (
     FAMILY_TAGS,
@@ -29,6 +37,7 @@ from autfplus.reduction import (
     _KMAX,
     _account,
     _collect_rows,
+    _compact_matrix,
     _resolve_families,
     flat_index,
     fold,
@@ -79,7 +88,7 @@ def test_fold_closed_forms():
 def test_relation_rows_from_trivial_null_are_zero():
     n = 3
     f = Factor((), "R4-1(1,2)", 1)
-    cert = certify((), expression(n, (f, f.inverse())))
+    cert = certify((), RelatorExpression(n, (f, f.inverse())))
     assert cert.verified
     for coeff in ("H", "Hdual"):
         rows = relation_from_null(cert, coeff)
@@ -88,7 +97,7 @@ def test_relation_rows_from_trivial_null_are_zero():
 
 def test_relation_rows_reject_unverified_certificates():
     n = 3
-    cert = certify(h_xword(n, 1, 3), expression(n, canon_h(n, 1, 2)))
+    cert = certify(h_xword(n, 1, 3), RelatorExpression(n, canon_h(n, 1, 2)))
     assert not cert.verified
     with pytest.raises(ValueError):
         relation_from_null(cert, "H")
@@ -98,8 +107,8 @@ def test_relation_rows_single_factor_match_fold():
     n = 3
     u = embed_E(n, 2, 3)
     cert = certify(
-        expression(n, (Factor(u, "R4-1(1,2)", 1),)).expand(),
-        expression(n, (Factor(u, "R4-1(1,2)", 1),)),
+        RelatorExpression(n, (Factor(u, "R4-1(1,2)", 1),)).expand(),
+        RelatorExpression(n, (Factor(u, "R4-1(1,2)", 1),)),
     )
     rows = relation_from_null(cert, "H")
     for p in range(1, n + 1):
@@ -138,7 +147,7 @@ def _random_rows(rng: random.Random, nrows: int, ncols: int) -> list[dict[int, i
 def _presented_module(rows: list[dict[int, int]], ncols: int) -> LModule:
     """Oracle: Z^ncols / row span, read over L via the full integer SNF."""
     dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-    divisors = snf(dense or [[0] * ncols]).nonzero_divisors()
+    divisors = snf(IntMatrix.from_dense(dense, ncols)).nonzero_divisors()
     torsion = tuple(
         odd for odd in (two_adic_split(abs(d))[1] for d in divisors) if odd != 1
     )
@@ -313,6 +322,9 @@ def test_modp_scout_is_a_lower_bound(harvest3H):
     bound_p, rank_p = modp_scout(3, "H")
     assert bound_p <= harvest3H.bound
     assert bound_p + rank_p == harvest3H.generator_count
+    # the scout's kernel against the dense mod-3 rank of the same rows
+    store, _ = _collect_rows(3, "H", FAMILY_TAGS, None)
+    assert rank_p == rank_mod_p(_compact_matrix(store.rows, [], store.ncols), 3)
     thin_bound, _ = modp_scout(3, "H", families=("F1",))
     assert thin_bound <= harvest(3, "H", families=("F1",)).bound
 
