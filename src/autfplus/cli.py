@@ -1,12 +1,12 @@
 """Batch front end.
 
 Three subcommands: `verify` (presentation soundness and the identity
-certificate suite), `homology` (first-homology pipeline with cached
-matrices and normal forms), and `certify-h2` (relation-module harvest
-plus the second-homology certificate).  Each emits one JSON report with
-a deterministic `body` (bit-identical across runs and thread counts,
-hashed into meta.report_hash) and a non-normative `meta` (timings,
-environment).
+certificate suite), `homology` (first-homology pipeline, whose matrices
+and normal forms can be written out as artefacts), and `certify-h2`
+(relation-module harvest plus the second-homology certificate).  Each
+emits one JSON report with a deterministic `body` (bit-identical across
+runs and thread counts, hashed into meta.report_hash) and a
+non-normative `meta` (timings, environment).
 
 Exit codes: 0 success; 2 verification or internal-consistency failure;
 3 generator bound not reached; 64 bad configuration.
@@ -108,7 +108,9 @@ def build_parser() -> _Parser:
             "'lemmas'/'presentations' select verify suites)",
         )
         sp.add_argument("--threads", type=int, default=1, help="recorded in meta.threads; runs are single-process")
-        sp.add_argument("--cache-dir", default=None, help="checkpoint directory for matrices and normal forms")
+        sp.add_argument(
+            "--cache-dir", default=None, help="artefact directory for matrices and normal forms, never read"
+        )
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
 
     v = sub.add_parser("verify", help="presentation soundness and identity certificates")

@@ -12,9 +12,10 @@ column map vanishes identically (the relators act trivially), which pins
 the derivative flavour: right derivatives pair with these blocks, left
 derivatives fail the very first test.
 
-All arithmetic is exact: sparse dicts and numpy object arrays holding
-Python ints.  numpy with a fixed-width dtype appears only in the mod-p
-rank routine, which is a cross-check, never a source of results.
+All arithmetic is exact, on sparse dicts of Python ints: the Smith normal
+form, its witness check and the column echelon work on {index: value} rows
+and columns.  numpy (int64) appears only in the mod-p rank routine, which
+is a cross-check, never a source of results.
 """
 
 from __future__ import annotations
@@ -312,12 +313,6 @@ class IntMatrix:
             rows[i][j] = v
         return rows
 
-    def to_object_array(self) -> np.ndarray:
-        a = np.zeros((self.nrows, self.ncols), dtype=object)
-        for (i, j), v in self.data.items():
-            a[i, j] = v
-        return a
-
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
         nr = len(rows)
@@ -484,128 +479,165 @@ class SNFResult:
                     raise ConsistencyError("zero divisor precedes a nonzero one")
             elif e % d != 0:
                 raise ConsistencyError(f"divisor chain broken at {i}: {d} !| {e}")
-        U = np.array(self.u, dtype=object)
-        Ui = np.array(self.uinv, dtype=object)
-        V = np.array(self.v, dtype=object)
-        Vi = np.array(self.vinv, dtype=object)
         m, n = self.nrows, self.ncols
-        if not np.array_equal(np.dot(U, Ui), _obj_eye(m)):
+        U, Ui = _sparse_rows(self.u, m), _sparse_rows(self.uinv, m)
+        V, Vi = _sparse_rows(self.v, n), _sparse_rows(self.vinv, n)
+        if _product(U, Ui) != _unit_rows(m):
             raise ConsistencyError("U.Uinv != I")
-        if not np.array_equal(np.dot(V, Vi), _obj_eye(n)):
+        if _product(V, Vi) != _unit_rows(n):
             raise ConsistencyError("V.Vinv != I")
         # U.A.V == D  <=>  A.V == Uinv.D, and the right side is just column
-        # scaling, so the expensive product uses A's sparsity only.
-        av = np.zeros((m, n), dtype=object)
+        # scaling, so the only product is A's sparse rows times V.
+        av: list[Row] = [{} for _ in range(m)]
         for (i, k), val in a.data.items():
-            row = av[i]
-            vk = V[k]
-            for j in range(n):
-                if vk[j]:
-                    row[j] += val * vk[j]
-        uid = np.zeros((m, n), dtype=object)
-        for j, d in enumerate(divs):
-            if d:
-                uid[:, j] = Ui[:, j] * d
-        if not np.array_equal(av, uid):
+            _axpy(av[i], V[k], val)
+        uid = [{j: x * divs[j] for j, x in row.items() if j < len(divs) and divs[j]} for row in Ui]
+        if av != uid:
             raise ConsistencyError("U.A.V != diag(divisors)")
 
 
-def _obj_eye(k: int) -> np.ndarray:
-    a = np.zeros((k, k), dtype=object)
-    if k:
-        a[np.arange(k), np.arange(k)] = 1
-    return a
+# Sparse rows {col: nonzero int}: the working form of every SNF matrix.
+Row = dict[int, int]
 
 
-def _pick_pivot(sub: np.ndarray) -> tuple[int, int] | None:
-    nz = sub != 0
-    if not nz.any():
-        return None
-    unit = (sub == 1) | (sub == -1)
-    if unit.any():
-        i, j = np.argwhere(unit)[0]
-        return int(i), int(j)
-    best = None
-    for i, j in np.argwhere(nz):
-        v = abs(int(sub[i, j]))
-        key = (v, int(i), int(j))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[1], best[2]
+def _axpy(dst: Row, src: Row, q: int, index: list[set[int]] | None = None, r: int = 0) -> None:
+    """dst += q * src, dropping zeros; an index (column -> rows holding it)
+    is kept in step with dst as row r."""
+    for c, v in src.items():
+        x = dst.get(c, 0) + q * v
+        if x:
+            if index is not None and c not in dst:
+                index[c].add(r)
+            dst[c] = x
+        elif c in dst:
+            del dst[c]
+            if index is not None:
+                index[c].discard(r)
+
+
+def _unit_rows(k: int) -> list[Row]:
+    return [{i: 1} for i in range(k)]
+
+
+def _product(x: list[Row], y: list[Row]) -> list[Row]:
+    out = []
+    for row in x:
+        acc: Row = {}
+        for k, v in row.items():
+            _axpy(acc, y[k], v)
+        out.append(acc)
+    return out
+
+
+def _sparse_rows(dense: list[list[int]], k: int) -> list[Row]:
+    if len(dense) != k or any(len(row) != k for row in dense):
+        raise ConsistencyError(f"SNF witness is not {k} x {k}")
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def _sparse_pivot(A: list[Row], t: int) -> tuple[int, int] | None:
+    """The first unit of rows t.. in row-major order, else the least
+    (|value|, row, col)."""
+    for i in range(t, len(A)):
+        units = [j for j, v in A[i].items() if v == 1 or v == -1]
+        if units:
+            return i, min(units)
+    best = min(((abs(v), i, j) for i in range(t, len(A)) for j, v in A[i].items()), default=None)
+    return None if best is None else best[1:]
+
+
+def _dense(rows: list[Row], k: int, transpose: bool = False) -> list[list[int]]:
+    """The k x k matrix (or its transpose) of sparse rows, as nested lists."""
+    out = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if transpose:
+                out[j][i] = v
+            else:
+                out[i][j] = v
+    return out
 
 
 def snf(a: IntMatrix) -> SNFResult:
     """Exact Smith normal form with full unimodular transform witnesses.
 
-    Deterministic: pivots are chosen by (|value|, row, col), preferring
-    units.  Divisors come out nonnegative in a divisibility chain.
+    Deterministic: the pivot is the first unit of the trailing block in
+    row-major order, else the least (|value|, row, col).  Divisors come out
+    nonnegative in a divisibility chain.  All five matrices are sparse rows;
+    the rows of A below the pivot are found through a column index.
     """
     m, n = a.nrows, a.ncols
-    A = a.to_object_array()
-    U = _obj_eye(m)
-    UiT = _obj_eye(m)  # transpose of Uinv: column ops become row ops
-    VT = _obj_eye(n)  # transpose of V
-    Vi = _obj_eye(n)
+    A: list[Row] = [{} for _ in range(m)]
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for (i, j), v in a.data.items():
+        A[i][j] = v
+        cols[j].add(i)
+    U, UiT = _unit_rows(m), _unit_rows(m)  # UiT: transpose of Uinv, column ops become row ops
+    VT, Vi = _unit_rows(n), _unit_rows(n)  # VT: transpose of V
     mn = min(m, n)
     t = 0
     while t < mn:
+        # rows >= t hold columns >= t only, so row t.. is the trailing block
         while True:
-            pick = _pick_pivot(A[t:, t:])
+            pick = _sparse_pivot(A, t)
             if pick is None:
                 break
-            i2, j2 = pick[0] + t, pick[1] + t
+            i2, j2 = pick
             if i2 != t:
-                A[[t, i2]] = A[[i2, t]]
-                U[[t, i2]] = U[[i2, t]]
-                UiT[[t, i2]] = UiT[[i2, t]]
+                for c in A[t].keys() ^ A[i2].keys():
+                    cols[c] ^= {t, i2}
+                A[t], A[i2] = A[i2], A[t]
+                U[t], U[i2] = U[i2], U[t]
+                UiT[t], UiT[i2] = UiT[i2], UiT[t]
             if j2 != t:
-                A[:, [t, j2]] = A[:, [j2, t]]
-                VT[[t, j2]] = VT[[j2, t]]
-                Vi[[t, j2]] = Vi[[j2, t]]
-            if A[t, t] < 0:
-                A[t, :] = -A[t, :]
-                U[t, :] = -U[t, :]
-                UiT[t, :] = -UiT[t, :]
-            p = int(A[t, t])
-            col = A[t + 1 :, t]
-            q = col // p
-            if (q != 0).any():
-                A[t + 1 :, t:] = A[t + 1 :, t:] - q[:, None] * A[t, t:]
-                U[t + 1 :, :] = U[t + 1 :, :] - q[:, None] * U[t, :]
-                UiT[t, :] = UiT[t, :] + np.dot(q, UiT[t + 1 :, :])
-            if (A[t + 1 :, t] != 0).any():
+                for r in cols[t] | cols[j2]:
+                    row = A[r]
+                    vt, vj = row.pop(t, 0), row.pop(j2, 0)
+                    if vt:
+                        row[j2] = vt
+                    if vj:
+                        row[t] = vj
+                cols[t], cols[j2] = cols[j2], cols[t]
+                VT[t], VT[j2] = VT[j2], VT[t]
+                Vi[t], Vi[j2] = Vi[j2], Vi[t]
+            if A[t][t] < 0:
+                A[t], U[t], UiT[t] = ({c: -v for c, v in r.items()} for r in (A[t], U[t], UiT[t]))
+            p = A[t][t]
+            for i in cols[t] - {t}:
+                q = A[i][t] // p
+                if q:
+                    _axpy(A[i], A[t], -q, cols, i)
+                    _axpy(U[i], U[t], -q)
+                    _axpy(UiT[t], UiT[i], q)
+            if len(cols[t]) > 1:
                 continue  # smaller residues surfaced; re-pick the pivot
-            row = A[t, t + 1 :]
-            q2 = row // p
-            if (q2 != 0).any():
-                A[:, t + 1 :] = A[:, t + 1 :] - np.outer(A[:, t], q2)
-                VT[t + 1 :, :] = VT[t + 1 :, :] - q2[:, None] * VT[t, :]
-                Vi[t, :] = Vi[t, :] + np.dot(q2, Vi[t + 1 :, :])
-            if (A[t, t + 1 :] != 0).any():
+            for j, v in list(A[t].items()):
+                q = v // p if j != t else 0
+                if q:
+                    _axpy(A[t], {j: p}, -q, cols, t)  # A[t][j] -= q * p
+                    _axpy(VT[j], VT[t], -q)
+                    _axpy(Vi[t], Vi[j], q)
+            if len(A[t]) > 1:
                 continue
             if p != 1:
-                rem = A[t + 1 :, t + 1 :] % p
-                bad = np.argwhere(rem != 0)
-                if len(bad):
-                    i3 = t + 1 + int(bad[0][0])
-                    A[t, :] = A[t, :] + A[i3, :]
-                    U[t, :] = U[t, :] + U[i3, :]
-                    UiT[i3, :] = UiT[i3, :] - UiT[t, :]
+                i3 = next((i for i in range(t + 1, m) if any(v % p for v in A[i].values())), None)
+                if i3 is not None:
+                    _axpy(A[t], A[i3], 1, cols, t)
+                    _axpy(U[t], U[i3], 1)
+                    _axpy(UiT[i3], UiT[t], -1)
                     continue
             break
         if pick is None:
             break
         t += 1
-    divisors = tuple(int(A[i, i]) for i in range(mn))
     return SNFResult(
         nrows=m,
         ncols=n,
-        divisors=divisors,
-        u=U.tolist(),
-        uinv=UiT.T.tolist(),
-        v=VT.T.tolist(),
-        vinv=Vi.tolist(),
+        divisors=tuple(A[i].get(i, 0) for i in range(mn)),
+        u=_dense(U, m),
+        uinv=_dense(UiT, m, transpose=True),
+        v=_dense(VT, n, transpose=True),
+        vinv=_dense(Vi, n),
     )
 
 
@@ -682,6 +714,14 @@ def divisor_profile(divisors: Sequence[int]) -> tuple[tuple[tuple[int, int], int
 # -- incremental integer column echelon --------------------------------
 
 
+def _combine(x: int, u: Row, y: int, w: Row) -> Row:
+    """x * u + y * w as a new sparse row."""
+    out = {c: x * v for c, v in u.items()} if x else {}
+    if y:
+        _axpy(out, w, y)
+    return out
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with a*x + b*y = g = gcd(a, b) > 0 (for a, b not both 0)."""
     old_r, r = a, b
@@ -700,48 +740,34 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def column_echelon(mat: IntMatrix) -> IntMatrix:
     """Integer column echelon of the column span (unimodular column ops only).
 
-    Streams the columns in index order through a pivot table keyed by
-    leading row; gcd-combines on leading-entry collisions.  The output has
-    one column per pivot row, sorted, leading entries positive, and spans
-    exactly the same submodule of Z^nrows as the input columns.  Zero
-    columns disappear (they do not affect the span).
+    Streams the columns, as sparse {row: value} dicts, in index order through
+    a pivot table keyed by leading row; gcd-combines on leading-entry
+    collisions.  The output has one column per pivot row, sorted, leading
+    entries positive, and spans exactly the same submodule of Z^nrows as the
+    input columns.  Zero columns disappear (they do not affect the span).
     """
-    nr = mat.nrows
-    cols: dict[int, list[tuple[int, int]]] = {}
+    cols: dict[int, Row] = {}
     for (i, j), v in mat.data.items():
-        cols.setdefault(j, []).append((i, v))
-    pivots: dict[int, np.ndarray] = {}
-    for j in range(mat.ncols):
-        entries = cols.get(j)
-        if not entries:
-            continue
-        c = np.zeros(nr, dtype=object)
-        for i, v in entries:
-            c[i] = v
-        while True:
-            nz = np.flatnonzero(c != 0)
-            if not len(nz):
-                break
-            lead = int(nz[0])
+        cols.setdefault(j, {})[i] = v
+    pivots: dict[int, Row] = {}
+    for j in sorted(cols):
+        c = cols[j]
+        while c:
+            lead = min(c)
             p = pivots.get(lead)
             if p is None:
-                if c[lead] < 0:
-                    c = -c
-                pivots[lead] = c
+                pivots[lead] = c if c[lead] > 0 else {i: -v for i, v in c.items()}
                 break
-            a = int(p[lead])
-            b = int(c[lead])
+            a, b = p[lead], c[lead]
             if b % a == 0:
-                c = c - (b // a) * p
+                _axpy(c, p, -(b // a))
             else:
                 g, x, y = _xgcd(a, b)
-                pivots[lead] = x * p + y * c
-                c = (a // g) * c - (b // g) * p
-    out = IntMatrix(nr, len(pivots))
+                pivots[lead], c = _combine(x, p, y, c), _combine(a // g, c, -(b // g), p)
+    out = IntMatrix(mat.nrows, len(pivots))
     for jj, lead in enumerate(sorted(pivots)):
-        col = pivots[lead]
-        for i in np.flatnonzero(col != 0):
-            out.data[(int(i), jj)] = int(col[i])
+        for i, v in pivots[lead].items():
+            out.data[(i, jj)] = v
     return out
 
 
@@ -749,7 +775,8 @@ def column_echelon(mat: IntMatrix) -> IntMatrix:
 
 
 def rank_mod_p(mat: IntMatrix, p: int) -> int:
-    """Rank of the matrix over GF(p) by vectorized elimination (int64).
+    """Rank of the matrix over GF(p) by vectorized elimination (int64),
+    touching only the rows a pivot actually clears.
 
     Entries are reduced mod p on entry, so fixed width cannot overflow;
     this routine only ever cross-checks exact results.
@@ -771,9 +798,10 @@ def rank_mod_p(mat: IntMatrix, p: int) -> int:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, c]
-        if below.any():
-            a[r + 1 :] = (a[r + 1 :] - np.outer(below, a[r])) % p
+        below = np.flatnonzero(a[r + 1 :, c]) + r + 1
+        if len(below):
+            # rows with a zero in column c would be rewritten unchanged
+            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
         r += 1
         if r == m:
             break
@@ -807,53 +835,32 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def snf_cached(a: IntMatrix, cache_dir: str | None) -> SNFResult:
-    """SNF with an on-disk cache keyed by the content hash of the matrix."""
-    if cache_dir is None:
-        return snf(a)
-    key = a.content_hash()[:24]
-    path = os.path.join(cache_dir, f"snf-{key}.json")
-    if os.path.exists(path):
-        with open(path) as f:
-            doc = json.load(f)
-        if doc.get("nrows") == a.nrows and doc.get("ncols") == a.ncols:
-            return SNFResult(
-                nrows=doc["nrows"],
-                ncols=doc["ncols"],
-                divisors=tuple(doc["divisors"]),
-                u=doc["u"],
-                uinv=doc["uinv"],
-                v=doc["v"],
-                vinv=doc["vinv"],
-            )
+    """SNF with its witnesses verified; given a cache dir, also written there
+    as an artefact named by the content hash of the matrix, never read back."""
     res = snf(a)
-    _atomic_write_text(
-        path,
-        json.dumps(
-            {
-                "nrows": res.nrows,
-                "ncols": res.ncols,
-                "divisors": list(res.divisors),
-                "u": res.u,
-                "uinv": res.uinv,
-                "v": res.v,
-                "vinv": res.vinv,
-            },
-            sort_keys=True,
-        ),
-    )
+    res.verify(a)
+    if cache_dir is not None:
+        doc = {
+            "nrows": res.nrows,
+            "ncols": res.ncols,
+            "divisors": list(res.divisors),
+            "u": res.u,
+            "uinv": res.uinv,
+            "v": res.v,
+            "vinv": res.vinv,
+        }
+        path = os.path.join(cache_dir, f"snf-{a.content_hash()[:24]}.json")
+        _atomic_write_text(path, json.dumps(doc, sort_keys=True))
     return res
 
 
 def _echelon_cached(mat: IntMatrix, cache_dir: str | None) -> IntMatrix:
-    if cache_dir is None:
-        return column_echelon(mat)
-    key = mat.content_hash()[:24]
-    path = os.path.join(cache_dir, f"echelon-{key}.mat")
-    if os.path.exists(path):
-        with open(path) as f:
-            return IntMatrix.parse(f.read())
+    """Column echelon; given a cache dir, also written there as an artefact
+    named by the content hash of the input, never read back."""
     res = column_echelon(mat)
-    _atomic_write_text(path, res.dump())
+    if cache_dir is not None:
+        path = os.path.join(cache_dir, f"echelon-{mat.content_hash()[:24]}.mat")
+        _atomic_write_text(path, res.dump())
     return res
 
 

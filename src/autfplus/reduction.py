@@ -800,15 +800,14 @@ def _compact_matrix(
 # -- survivor documentation --------------------------------------------
 
 
-def survivor_basis(n: int, coeff: str, pres: ModulePresentation | None = None) -> tuple[GenIndex, ...]:
-    """The surviving generators, as a spanning family of size = the bound.
+def survivor_basis(pres: ModulePresentation) -> tuple[GenIndex, ...]:
+    """The surviving generators of a harvest, as a spanning family of size =
+    the bound.
 
     Requires the harvest to have certified the exact bound (no L-unit
     divisors hiding in the residual); callers wanting exploratory numbers
     should read ModulePresentation directly.
     """
-    if pres is None:
-        pres = harvest(n, coeff)
     units = sum(1 for d in pres.residual_divisors if is_unit_in_L(d))
     if units:
         raise HarvestError(

@@ -244,6 +244,41 @@ def test_homology_cache_reuse_is_hash_stable(tmp_path, capsys):
     assert (tmp_path / "cache" / "phi-n3-Hdual.mat").exists()
 
 
+def test_homology_does_not_read_back_snf_or_echelon_entries(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("homology", "--n", "3", "--coeff", "H", "--cache-dir", str(cache))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    outs = [out]
+    # every SNF entry loses its unit first divisor
+    snfs = sorted(cache.glob("snf-*.json"))
+    assert len(snfs) == 2
+    written = {p: p.read_bytes() for p in snfs}
+    for path in snfs:
+        doc = json.loads(path.read_text())
+        assert doc["divisors"][0] == 1
+        doc["divisors"][0] = 2
+        path.write_text(json.dumps(doc, sort_keys=True))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    outs.append(out)
+    # the lead of echelon column 1 becomes 3, which would leave odd torsion
+    (echelon,) = cache.glob("echelon-*.mat")
+    text = echelon.read_text()
+    lines = text.splitlines(keepends=True)
+    assert lines[3] == "1 1 1\n"
+    lines[3] = "1 1 3\n"
+    echelon.write_text("".join(lines))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    outs.append(out)
+    hashes = {load_report(out)["meta"]["report_hash"] for out in outs}
+    assert len(hashes) == 1 and hashes.pop().startswith("93e51aa0")
+    # both entries are written again from the computed results
+    assert all(p.read_bytes() == written[p] for p in snfs)
+    assert echelon.read_text() == text
+
+
 # -- certify-h2 --------------------------------------------------------
 
 
@@ -348,7 +383,9 @@ _EXPECTED = json.loads(
 )
 
 
-@pytest.mark.parametrize("command,n", [("verify", 3), ("certify-h2", 3), ("homology", 5)])
+@pytest.mark.parametrize(
+    "command,n", [("verify", 3), ("certify-h2", 3), ("homology", 5), ("homology", 6)]
+)
 def test_report_hash_matches_benchmark_expectation(capsys, command, n):
     want = _EXPECTED[command][str(n)]
     code, out, _ = run_cli(capsys, command, "--n", str(n))

@@ -2,13 +2,16 @@
 
 The integer linear algebra is all hand-rolled (SNF with transform
 witnesses, column echelon, mod-p ranks), so everything here is checked
-against independent oracles: sympy's Smith decomposition on random small
+against independent oracles: sympy's Smith decomposition and the earlier
+dense SNF (which the sparse one must match value for value) on random small
 matrices, the fundamental derivative identities on random words, and the
 frozen small-rank values of the pipeline itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 import random
 
@@ -256,6 +259,123 @@ def test_snf_matches_sympy_oracle_on_randoms():
         assert mine == _oracle_divisors(a), f"trial {trial}"
 
 
+def _dense_snf(a: IntMatrix, hits: set[str]) -> SNFResult:
+    """The earlier dense SNF on numpy object arrays, kept as the oracle the
+    sparse one must match value for value; ``hits`` records the re-pick and
+    divisibility-fix branches as they run."""
+
+    def eye(k):
+        e = np.zeros((k, k), dtype=object)
+        e[np.arange(k), np.arange(k)] = 1
+        return e
+
+    def pick_pivot(sub):
+        nz = sub != 0
+        if not nz.any():
+            return None
+        unit = (sub == 1) | (sub == -1)
+        if unit.any():
+            i, j = np.argwhere(unit)[0]
+            return int(i), int(j)
+        return min((abs(int(sub[i, j])), int(i), int(j)) for i, j in np.argwhere(nz))[1:]
+
+    m, n = a.nrows, a.ncols
+    A = np.zeros((m, n), dtype=object)
+    for (i, j), v in a.data.items():
+        A[i, j] = v
+    U, UiT, VT, Vi = eye(m), eye(m), eye(n), eye(n)
+    mn = min(m, n)
+    t = 0
+    while t < mn:
+        while True:
+            pick = pick_pivot(A[t:, t:])
+            if pick is None:
+                break
+            i2, j2 = pick[0] + t, pick[1] + t
+            if i2 != t:
+                A[[t, i2]] = A[[i2, t]]
+                U[[t, i2]] = U[[i2, t]]
+                UiT[[t, i2]] = UiT[[i2, t]]
+            if j2 != t:
+                A[:, [t, j2]] = A[:, [j2, t]]
+                VT[[t, j2]] = VT[[j2, t]]
+                Vi[[t, j2]] = Vi[[j2, t]]
+            if A[t, t] < 0:
+                A[t, :] = -A[t, :]
+                U[t, :] = -U[t, :]
+                UiT[t, :] = -UiT[t, :]
+            p = int(A[t, t])
+            q = A[t + 1 :, t] // p
+            if (q != 0).any():
+                A[t + 1 :, t:] = A[t + 1 :, t:] - q[:, None] * A[t, t:]
+                U[t + 1 :, :] = U[t + 1 :, :] - q[:, None] * U[t, :]
+                UiT[t, :] = UiT[t, :] + np.dot(q, UiT[t + 1 :, :])
+            if (A[t + 1 :, t] != 0).any():
+                hits.add("repick")
+                continue
+            q2 = A[t, t + 1 :] // p
+            if (q2 != 0).any():
+                A[:, t + 1 :] = A[:, t + 1 :] - np.outer(A[:, t], q2)
+                VT[t + 1 :, :] = VT[t + 1 :, :] - q2[:, None] * VT[t, :]
+                Vi[t, :] = Vi[t, :] + np.dot(q2, Vi[t + 1 :, :])
+            if (A[t, t + 1 :] != 0).any():
+                hits.add("repick")
+                continue
+            if p != 1:
+                bad = np.argwhere(A[t + 1 :, t + 1 :] % p != 0)
+                if len(bad):
+                    hits.add("fix")
+                    i3 = t + 1 + int(bad[0][0])
+                    A[t, :] = A[t, :] + A[i3, :]
+                    U[t, :] = U[t, :] + U[i3, :]
+                    UiT[i3, :] = UiT[i3, :] - UiT[t, :]
+                    continue
+            break
+        if pick is None:
+            break
+        t += 1
+    return SNFResult(
+        nrows=m,
+        ncols=n,
+        divisors=tuple(int(A[i, i]) for i in range(mn)),
+        u=U.tolist(),
+        uinv=UiT.T.tolist(),
+        v=VT.T.tolist(),
+        vinv=Vi.tolist(),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,branch", [([[2, 0], [0, 3]], "fix"), ([[3, 5], [5, 3]], "repick")]
+)
+def test_snf_branches_match_the_dense_oracle(rows, branch):
+    a = IntMatrix.from_dense(rows)
+    hits: set[str] = set()
+    assert snf(a) == _dense_snf(a, hits)
+    assert branch in hits
+
+
+def test_snf_matches_the_dense_oracle_value_for_value():
+    # every field, witnesses included, on seeded random matrices of every
+    # shape from 0 x k to 7 x 7: dense and sparse, signed entries, and
+    # matrices whose entries are all non-units
+    rng = random.Random(4242)
+    hits: set[str] = set()
+    trials = 0
+    for m in range(8):
+        for n in range(8):
+            for _ in range(36):
+                density = rng.choice((0.15, 0.4, 0.8, 1.0))
+                a = _random_matrix(rng, m, n, density=density)
+                if rng.random() < 0.3:
+                    for key, v in a.data.items():
+                        a.data[key] = rng.choice((2, 3, 4, 6, 9, 10, 15)) * (v // abs(v))
+                assert snf(a) == _dense_snf(a, hits), (m, n, a.triplets())
+                trials += 1
+    assert trials >= 2000
+    assert hits == {"repick", "fix"}
+
+
 def test_snf_hidden_unit_divisor():
     # no entry is a unit, yet the lattice has a unit divisor
     a = IntMatrix.from_dense([[3, 5], [5, 3]])
@@ -275,25 +395,45 @@ def test_snf_divisor_chain_and_determinism():
 
 
 def test_snf_verify_catches_tampering():
-    a = IntMatrix.from_dense([[2, 0], [0, 6]])
+    a = IntMatrix.from_dense([[2, 1, 0], [4, 0, 6]])
     res = snf(a)
-    bad = SNFResult(
-        nrows=res.nrows,
-        ncols=res.ncols,
-        divisors=(res.divisors[0], res.divisors[1] + 2),
-        u=res.u,
-        uinv=res.uinv,
-        v=res.v,
-        vinv=res.vinv,
-    )
-    with pytest.raises(ConsistencyError):
-        bad.verify(a)
+    res.verify(a)
+
+    def changed(field, i=None, j=None):
+        if field == "divisors":
+            value = (res.divisors[0], res.divisors[1] + 2)
+        else:
+            value = [list(row) for row in getattr(res, field)]
+            value[i][j] += 1
+        return dataclasses.replace(res, **{field: value})
+
+    tampered = [
+        changed("divisors"),
+        changed("u", 0, 1),
+        changed("uinv", 1, 0),
+        changed("v", 2, 2),
+        changed("vinv", 0, 2),
+        dataclasses.replace(res, divisors=(2, 1)),  # chain order broken
+        dataclasses.replace(res, v=res.v[:2]),  # witness of the wrong shape
+    ]
+    for bad in tampered:
+        with pytest.raises(ConsistencyError):
+            bad.verify(a)
 
 
 def test_rank_mod_p_agrees_with_divisors():
     rng = random.Random(99)
     for _ in range(10):
         a = _random_matrix(rng, 5, 5, density=0.8)
+        divs = [d for d in snf(a).divisors if d]
+        for p in CROSS_CHECK_PRIMES:
+            assert rank_mod_p(a, p) == sum(1 for d in divs if d % p)
+    # tall and sparse, like the echelons of the pipeline: most rows below a
+    # pivot have a zero in its column
+    for _ in range(10):
+        a = _random_matrix(rng, 60, 12, density=0.05)
+        for k in range(12):
+            a.set(5 * k, k, rng.choice((2, 3, 5, 7, 15)))
         divs = [d for d in snf(a).divisors if d]
         for p in CROSS_CHECK_PRIMES:
             assert rank_mod_p(a, p) == sum(1 for d in divs if d % p)
@@ -444,16 +584,14 @@ def test_cache_dir_checkpoints(tmp_path):
     keyed = [cache / f for f in files if f.startswith(("snf-", "echelon-"))]
     assert all(p.exists() for p in artefacts)
     assert {p.name.split("-")[0] for p in keyed} == {"snf", "echelon"}
-    before = {p: p.read_bytes() for p in artefacts}
-    stamps = {p: p.stat().st_mtime_ns for p in keyed}
-    for p in artefacts:
+    before = {p: p.read_bytes() for p in artefacts + keyed}
+    for p in before:
         os.utime(p, ns=(0, 0))  # backdated, so that a rewrite shows
     d2 = five_term_data(3, "H", cache_dir=str(cache))
     assert sorted(os.listdir(cache)) == files
-    # d1 and phi are written again, byte for byte the same, while the
-    # content-keyed entries are read back
-    assert all(p.read_bytes() == before[p] and p.stat().st_mtime_ns for p in artefacts)
-    assert all(p.stat().st_mtime_ns == stamps[p] for p in keyed)
+    # every entry is computed and written again, byte for byte the same;
+    # none is read back
+    assert all(p.read_bytes() == b and p.stat().st_mtime_ns for p, b in before.items())
     assert d1.image_divisors == d2.image_divisors
     assert d1.d1 == d2.d1 and d1.echelon == d2.echelon
 
@@ -461,6 +599,51 @@ def test_cache_dir_checkpoints(tmp_path):
 def test_snf_cached_roundtrip(tmp_path):
     a = IntMatrix.from_dense([[2, 4], [6, 10]])
     r1 = snf_cached(a, str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    written = path.read_bytes()
+    os.utime(path, ns=(0, 0))
     r2 = snf_cached(a, str(tmp_path))
-    assert r1.divisors == r2.divisors and r1.u == r2.u
+    # recomputed and rewritten with the same bytes
+    assert r1 == r2
+    assert path.read_bytes() == written and path.stat().st_mtime_ns
     r2.verify(a)
+
+
+# sha256 of column_echelon(phi).dump() and of the snf-*.json entries written
+# for d1 and for that echelon, as the dense kernels produced them
+WITNESS_SHA256 = {
+    (4, "H"): (
+        "ee82c13532e78410877d2c220fe6f87a1b9b672d6bc96c768edb2a9cc270574c",
+        "606d054248cdcdaeb432fd22190ef710b59b8f8d88a45069ac54df8c71fb73e6",
+        "fec8e21ece64fd4ac3154608ad82f04e0f59b6bd93445376e32abc5f5fa6cf1c",
+    ),
+    (4, "Hdual"): (
+        "86d8f99f41766cbbc82b4b73a6a8c0c8fe40b1f8919653a93c466dea85d770da",
+        "310a9169696a003b2d42719dbf892869bf7271e89c77b34935b5742968920ff5",
+        "4f52d96bc85fe47463722c88a039a07279275aadd9061536965cefc01e8c35ad",
+    ),
+    (5, "H"): (
+        "8417afdb1d46d5081f5e07b43bad602bb6a60c2fc1678136b9c87a19e237dfcc",
+        "d7766fdd8e68573f883cb9986f5012d5fc53f91a74bbe14503d5b5f445f1f810",
+        "546a0d9763620e7b46deb2c3d8a94bf20f047c289a58482e4e8555ae65947f51",
+    ),
+    (5, "Hdual"): (
+        "5a66fa2642dd4c04106132e480d09a0ecef6b3647b8f77cb4ea0e3de0d7995e2",
+        "d6452a0d9293228d0738157640924532b7ea76c0c557c35fad4bc5557b074d32",
+        "804ff9387fb83522dd1d1d8c7d071752f3256f1fd3e00339f5e9e989737b2122",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,coeff", sorted(WITNESS_SHA256))
+def test_echelon_and_snf_witness_bytes_are_pinned(tmp_path, n, coeff):
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    d1 = d1_matrix(n, coeff)
+    ech = column_echelon(phi_matrix(n, coeff))
+    got = [sha(ech.dump().encode())]
+    for mat in (d1, ech):
+        snf_cached(mat, str(tmp_path))
+        got.append(sha((tmp_path / f"snf-{mat.content_hash()[:24]}.json").read_bytes()))
+    assert tuple(got) == WITNESS_SHA256[(n, coeff)]

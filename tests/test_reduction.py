@@ -370,7 +370,7 @@ def test_harvest_rejects_rows_outside_ker_phi(monkeypatch):
 
 
 def test_survivor_basis_and_summary(harvest3H):
-    basis = survivor_basis(3, "H", pres=harvest3H)
+    basis = survivor_basis(harvest3H)
     assert len(basis) == harvest3H.bound
     assert all(isinstance(g, GenIndex) for g in basis)
     summary = survivor_summary(3, basis)
@@ -395,7 +395,7 @@ def test_survivor_basis_refuses_uncertified_bounds(harvest3H):
         manifest=harvest3H.manifest,
     )
     with pytest.raises(HarvestError):
-        survivor_basis(3, "H", pres=doctored)
+        survivor_basis(doctored)
 
 
 def test_compacted_matrix_presents_the_same_module(harvest3H):
