@@ -318,7 +318,7 @@ def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
                 "bound": pres.bound,
                 "module": pres.module.describe(),
                 "survivors": len(pres.survivors),
-                "survivor_summary": survivor_summary(cfg.n, pres.survivor_indices()),
+                "survivor_summary": survivor_summary(pres.survivor_indices()),
                 "manifest": [
                     {
                         "tag": rep.tag,

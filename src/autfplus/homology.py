@@ -14,8 +14,8 @@ derivatives fail the very first test.
 
 All arithmetic is exact, on sparse dicts of Python ints: the Smith normal
 form, its witness check and the column echelon work on {index: value} rows
-and columns.  numpy (int64) appears only in the mod-p rank routine, which
-is a cross-check, never a source of results.
+and columns.  So does the mod-p rank routine, which is a cross-check,
+never a source of results; the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import presentation, words
 from .nielsen import COEFF_SPACES, H, induced_matrix
@@ -771,41 +769,42 @@ def column_echelon(mat: IntMatrix) -> IntMatrix:
     return out
 
 
-# -- mod-p rank fast path (cross-check only) ---------------------------
+# -- mod-p rank (cross-check only) ------------------------------------
 
 
 def rank_mod_p(mat: IntMatrix, p: int) -> int:
-    """Rank of the matrix over GF(p) by vectorized elimination (int64),
-    touching only the rows a pivot actually clears.
+    """Rank of the matrix over GF(p), on sparse rows of Python ints.
 
-    Entries are reduced mod p on entry, so fixed width cannot overflow;
-    this routine only ever cross-checks exact results.
+    Rows are reduced mod p and inserted, in row order, into a basis of monic
+    rows keyed by their leading (smallest) column; the rank is the size of
+    that basis.  Rank over a field does not depend on the pivot order, and
+    nothing here is shared with the SNF path, so the routine only ever
+    cross-checks exact results.
     """
     assert p > 2 and all(p % k for k in range(2, int(p**0.5) + 1)), p
-    m, n = mat.nrows, mat.ncols
-    if not m or not n:
-        return 0
-    a = np.zeros((m, n), dtype=np.int64)
+    rows: dict[int, dict[int, int]] = {}
     for (i, j), v in mat.data.items():
-        a[i, j] = v % p
-    r = 0
-    for c in range(n):
-        rows = np.flatnonzero(a[r:, c])
-        if not len(rows):
-            continue
-        i = r + int(rows[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = np.flatnonzero(a[r + 1 :, c]) + r + 1
-        if len(below):
-            # rows with a zero in column c would be rewritten unchanged
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
+        v %= p
+        if v:
+            rows.setdefault(i, {})[j] = v
+    basis: dict[int, dict[int, int]] = {}
+    for i in sorted(rows):
+        row = rows[i]
+        while row:
+            lead = min(row)
+            piv = basis.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                basis[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                w = (row.get(c, 0) - f * v) % p
+                if w:
+                    row[c] = w
+                else:  # f * v is a unit, so c was in the row
+                    del row[c]
+    return len(basis)
 
 
 CROSS_CHECK_PRIMES = (3, 5, 7)

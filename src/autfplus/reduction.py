@@ -36,6 +36,7 @@ from .homology import (
     column_echelon,
     is_unit_in_L,
     phi_matrix,
+    rank_mod_p,
     snf,
     two_adic_split,
     word_action,
@@ -725,44 +726,12 @@ def modp_scout(n: int, coeff: str, families: Sequence[str] | None = None) -> tup
     the harvested rows cannot possibly reach the target, at a fraction of
     the exact cost.  Returns (bound_mod_p, rank_mod_p).
     """
-    import numpy as np
-
     assert coeff in COEFF_SPACES, coeff
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
     store, _ = _collect_rows(n, coeff, chosen, None)
-    p = 3  # pivot rows are stored as int8: residues of 128 or more would wrap
-    pivmat = np.zeros((ncols, ncols), dtype=np.int8)
-    pivrow_of_col = np.full(ncols, -1, dtype=np.int32)
-    r = 0
-    vec = np.zeros(ncols, dtype=np.int64)
-    for row in store.rows:
-        vec[:] = 0
-        for c, v in row.items():
-            vec[c] = v % p
-        nz = np.nonzero(vec)[0]
-        hits = nz[pivrow_of_col[nz] >= 0]
-        if hits.size:
-            coeffs = vec[hits]
-            vec -= coeffs @ pivmat[pivrow_of_col[hits]].astype(np.int64)
-            vec %= p
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            continue
-        lead = int(nz[0])
-        inv = pow(int(vec[lead]), p - 2, p)
-        newrow = ((vec * inv) % p).astype(np.int8)
-        colvals = pivmat[:r, lead]
-        sel = np.nonzero(colvals)[0]
-        if sel.size:
-            pivmat[sel] = (
-                pivmat[sel].astype(np.int16)
-                - np.outer(colvals[sel].astype(np.int16), newrow.astype(np.int16))
-            ) % p
-        pivmat[r] = newrow
-        pivrow_of_col[lead] = r
-        r += 1
-    return ncols - r, r
+    rank = rank_mod_p(_compact_matrix(store.rows, [], ncols), 3)
+    return ncols - rank, rank
 
 
 def _account(
@@ -818,7 +787,7 @@ def survivor_basis(pres: ModulePresentation) -> tuple[GenIndex, ...]:
     return pres.survivor_indices()
 
 
-def survivor_summary(n: int, survivors: Iterable[GenIndex]) -> dict[str, int]:
+def survivor_summary(survivors: Iterable[GenIndex]) -> dict[str, int]:
     """Count survivors per relator family, splitting the triangle families
     by whether the tensor slot avoids the relator's first index (the
     shape the hand reduction leaves alive)."""

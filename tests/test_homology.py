@@ -3,17 +3,21 @@
 The integer linear algebra is all hand-rolled (SNF with transform
 witnesses, column echelon, mod-p ranks), so everything here is checked
 against independent oracles: sympy's Smith decomposition and the earlier
-dense SNF (which the sparse one must match value for value) on random small
-matrices, the fundamental derivative identities on random words, and the
-frozen small-rank values of the pipeline itself.
+dense numpy SNF and mod-p rank (which the sparse ones must match value for
+value) on random small matrices, the fundamental derivative identities on
+random words, and the frozen small-rank values of the pipeline itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +441,108 @@ def test_rank_mod_p_agrees_with_divisors():
         divs = [d for d in snf(a).divisors if d]
         for p in CROSS_CHECK_PRIMES:
             assert rank_mod_p(a, p) == sum(1 for d in divs if d % p)
+
+
+def _dense_rank_mod_p(mat: IntMatrix, p: int) -> int:
+    """The earlier dense numpy elimination (int64, entries reduced mod p on
+    entry), kept as the oracle the sparse kernel must match value for value."""
+    m, n = mat.nrows, mat.ncols
+    if not m or not n:
+        return 0
+    a = np.zeros((m, n), dtype=np.int64)
+    for (i, j), v in mat.data.items():
+        a[i, j] = v % p
+    r = 0
+    for c in range(n):
+        rows = np.flatnonzero(a[r:, c])
+        if not len(rows):
+            continue
+        i = r + int(rows[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        below = np.flatnonzero(a[r + 1 :, c]) + r + 1
+        if len(below):
+            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def test_rank_mod_p_matches_the_dense_oracle_value_for_value():
+    rng = random.Random(606)
+    primes = (3, 5, 7, 11)
+    cases = []
+    for m in range(13):
+        for n in range(13):
+            cases.append(IntMatrix(m, n))  # all zero, and every 0 x k, k x 0
+            for density in (0.2, 0.6, 1.0):
+                a = IntMatrix(m, n)
+                for i in range(m):
+                    for j in range(n):
+                        if rng.random() < density:
+                            # signed, multiples of each prime, and one too
+                            # wide for a fixed-width kernel
+                            v = rng.choice((rng.randint(-24, 24), 1155 * rng.randint(-2, 2)))
+                            a.set(i, j, v if rng.random() < 0.95 else 2**70 + v)
+                cases.append(a)
+    for _ in range(20):
+        a = _random_matrix(rng, 60, 12, density=0.05)
+        for k in range(12):
+            a.set(5 * k, k, rng.choice((2, 3, 5, 7, 11, 15)))
+        cases.append(a)
+    deficient = 0
+    for a in cases:
+        for p in primes:
+            got = rank_mod_p(a, p)
+            assert got == _dense_rank_mod_p(a, p), (a.dump(), p)
+            deficient += got < min(a.nrows, a.ncols)
+    assert deficient > 100  # the cancellations were exercised, not just full rank
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_rank_mod_p_matches_the_dense_oracle_on_phi(n, coeff):
+    phi = phi_matrix(n, coeff)
+    for mat in (phi, column_echelon(phi)):
+        for p in CROSS_CHECK_PRIMES:
+            assert rank_mod_p(mat, p) == _dense_rank_mod_p(mat, p)
+
+
+_NO_NUMPY = """
+import json, sys
+import autfplus.cli
+assert "numpy" not in sys.modules, "importing the CLI loaded numpy"
+sys.modules["numpy"] = None  # any later import of numpy raises ImportError
+from autfplus.cli import main
+out = {}
+for command, n in (("homology", 5), ("certify-h2", 3)):
+    path = sys.argv[1] + "/" + command + ".json"
+    code = main([command, "--n", str(n), "--out", path])
+    with open(path) as f:
+        out[command] = [code, json.load(f)["meta"]["report_hash"]]
+print(json.dumps(out))
+"""
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    expected = json.loads((Path(src).parent / "perfbench" / "expected.json").read_text())
+    for command, n in (("homology", 5), ("certify-h2", 3)):
+        want = expected[command][str(n)]
+        assert got[command] == [want["exit"], want["report_hash"]], command
 
 
 def test_column_echelon_preserves_the_image_lattice():

@@ -373,7 +373,7 @@ def test_survivor_basis_and_summary(harvest3H):
     basis = survivor_basis(harvest3H)
     assert len(basis) == harvest3H.bound
     assert all(isinstance(g, GenIndex) for g in basis)
-    summary = survivor_summary(3, basis)
+    summary = survivor_summary(basis)
     assert sum(summary.values()) == harvest3H.bound
     # only commuting-pair and triangle generators survive the steering
     assert all(k.startswith(("R2", "R3")) for k in summary)
