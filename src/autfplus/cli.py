@@ -37,7 +37,7 @@ from .presentation import (
     gersten_relators,
     reduced_relators,
 )
-from .reduction import FAMILY_TAGS, HarvestError, harvest, survivor_summary
+from .reduction import FAMILY_TAGS, HarvestError, harvest, peak_rss_kib, survivor_summary
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -267,6 +267,7 @@ def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:
         timings[coeff] = {
             "total": round(time.monotonic() - t0, 3),
             "five_term": _rounded(data.timings),
+            "peak_rss_kib": {"five_term": peak_rss_kib()},
         }
     body = {"command": "homology", "n": cfg.n, "results": results}
     return EXIT_OK, body, timings
@@ -346,6 +347,7 @@ def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
             "homology_and_certificate": round(t2 - t1, 3),
             "five_term": _rounded(data.timings),
             "eliminator": pres.stats,
+            "peak_rss_kib": pres.peak_rss_kib,
         }
         if not cert.ok:
             worst = max(worst, EXIT_BOUND)

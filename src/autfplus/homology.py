@@ -235,7 +235,10 @@ def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
     """Action matrix of pi(xw) on the coefficient space.
 
     Built by suffix recursion, so words that share a tail (the conjugators
-    of a harvest) share its cached product.
+    of a harvest) share its cached product.  The cache lives for one
+    coefficient module: the keys include `coeff`, so one module's entries
+    never serve another, and the harvest clears it when a module's row
+    collection ends.
     """
     if not xw:
         return _eye_small(n)

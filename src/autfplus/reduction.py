@@ -21,6 +21,7 @@ residual elementary divisors.
 from __future__ import annotations
 
 import heapq
+import resource
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import presentation, words
 from .homology import (
+    ConsistencyError,
     IntMatrix,
     LModule,
     SmallMatrix,
@@ -354,13 +356,24 @@ def _normalize_row(row: dict[int, int]) -> None:
             row[c] >>= k
 
 
+def _row_key(row: dict[int, int]) -> int:
+    """Hash of a row that does not depend on the order of its keys."""
+    return hash(frozenset(row.items()))
+
+
 class RowStore:
-    """Normalized, deduplicated collection of harvested relation rows."""
+    """Normalized, deduplicated collection of harvested relation rows.
+
+    Duplicates are found through an index from a row's hash to the position
+    in `rows` of the stored row with that hash (a tuple of positions when
+    hashes collide).  A hash match counts as a duplicate only when the
+    stored row is equal, so a collision never drops a row.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[dict[int, int]] = []
-        self._seen: set[frozenset] = set()
+        self._index: dict[int, int | tuple[int, ...]] | None = {}
         self.stats = {"rows": 0, "zero": 0, "dup": 0}
 
     def add_row(self, row: dict[int, int]) -> str:
@@ -370,13 +383,24 @@ class RowStore:
             return "zero"
         row = dict(row)
         _normalize_row(row)
-        key = frozenset(row.items())
-        if key in self._seen:
-            self.stats["dup"] += 1
-            return "dup"
-        self._seen.add(key)
+        key = _row_key(row)
+        hit = self._index.get(key)
+        pos = len(self.rows)
+        if hit is None:
+            self._index[key] = pos
+        else:
+            hits = (hit,) if isinstance(hit, int) else hit
+            if any(self.rows[i] == row for i in hits):
+                self.stats["dup"] += 1
+                return "dup"
+            self._index[key] = hits + (pos,)
         self.rows.append(row)
         return "new"
+
+    def close(self) -> None:
+        """Release the dedup index once collection ends; no row can be added
+        after this."""
+        self._index = None
 
 
 # Largest 2-adic valuation accepted for an elimination pivot.  A +-2^k
@@ -591,10 +615,12 @@ class ModulePresentation:
     residual_rows: int
     residual_divisors: tuple[int, ...]
     manifest: tuple[FamilyReport, ...]
-    # not part of any certificate: the eliminator's counters and the
-    # seconds spent collecting and eliminating rows
+    # not part of any certificate: the eliminator's counters, the seconds
+    # spent collecting, eliminating and auditing rows, and the process's
+    # high-water RSS after collection and after elimination
     stats: dict[str, int] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    peak_rss_kib: dict[str, int] = field(default_factory=dict)
 
     def survivor_indices(self) -> tuple[GenIndex, ...]:
         return tuple(unflatten(self.n, c) for c in self.survivors)
@@ -602,6 +628,12 @@ class ModulePresentation:
 
 class HarvestError(RuntimeError):
     pass
+
+
+def peak_rss_kib() -> int:
+    """High-water resident set size of this process so far: getrusage's
+    ru_maxrss, which Linux reports in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def _resolve_families(families: Sequence[str] | None) -> list[str]:
@@ -620,6 +652,44 @@ def _in_ker_phi(row: dict[int, int], phi_cols: dict[int, list[tuple[int, int]]])
     return not any(acc.values())
 
 
+def _phi_columns(n: int, coeff: str) -> dict[int, list[tuple[int, int]]]:
+    """The relator columns of phi, as (row, value) lists keyed by column."""
+    phi_cols: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), v in phi_matrix(n, coeff).data.items():
+        phi_cols.setdefault(j, []).append((i, v))
+    return phi_cols
+
+
+def _audit_elimination(
+    pivot_cols: list[int],
+    pivot_rows: list[dict[int, int]],
+    residual_rows: list[dict[int, int]],
+    phi_cols: dict[int, list[tuple[int, int]]],
+) -> None:
+    """Check the eliminator's output before the bound is read off it.
+
+    Pivot row t has an L-unit at its pivot column and no entry at an
+    earlier pivot column, and no residual row has an entry at any pivot
+    column: the retired block is triangular with L-unit diagonal, as the
+    ExactEliminator argument needs.  Every pivot and residual row is an
+    L-combination of certified rows, which all lie in ker(phi), so it lies
+    there too; a slip in the merge arithmetic shows as a row that leaves it.
+    """
+    order = {c: t for t, c in enumerate(pivot_cols)}
+    for t, (c, row) in enumerate(zip(pivot_cols, pivot_rows)):
+        if _ELIGIBLE.get(row.get(c)) is None:
+            raise ConsistencyError(f"pivot row {t} has no L-unit at its pivot column {c}")
+        if any(order.get(cc, t) < t for cc in row):
+            raise ConsistencyError(f"pivot row {t} has an entry at an earlier pivot column")
+    for j, row in enumerate(residual_rows):
+        if any(cc in order for cc in row):
+            raise ConsistencyError(f"residual row {j} has an entry at a pivot column")
+    for kind, rows in (("pivot", pivot_rows), ("residual", residual_rows)):
+        for j, row in enumerate(rows):
+            if not _in_ker_phi(row, phi_cols):
+                raise ConsistencyError(f"{kind} row {j} is not in ker(phi)")
+
+
 def _collect_rows(
     n: int,
     coeff: str,
@@ -633,12 +703,13 @@ def _collect_rows(
     check is independent of the free reduction that verified the
     certificate.  Duplicates differ from a checked row by a power of 2 and
     zero rows lie in every kernel, so new rows are all that need checking.
+
+    Once collection ends, nothing reads the store's dedup index or this
+    module's `word_action` entries again, so both are released.
     """
     ncols = generator_count_E(n)
     store = RowStore(ncols)
-    phi_cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in phi_matrix(n, coeff).data.items():
-        phi_cols.setdefault(j, []).append((i, v))
+    phi_cols = _phi_columns(n, coeff)
     reports: list[FamilyReport] = []
     for tag, name, builder in FAMILIES:
         if tag not in chosen:
@@ -670,6 +741,8 @@ def _collect_rows(
                 f"{tag} {name}: {instances} instances, {rows} rows "
                 f"({news} new, {zeros} zero)"
             )
+    store.close()
+    word_action.cache_clear()
     return store, reports
 
 
@@ -679,8 +752,8 @@ def harvest(
     families: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> ModulePresentation:
-    """Collect all family rows, run exact elimination over L, and bound
-    the minimal generator count of the presented module."""
+    """Collect all family rows, run exact elimination over L, audit its
+    output, and bound the minimal generator count of the presented module."""
     assert coeff in COEFF_SPACES, coeff
     presentation.check_rank(n)
     chosen = _resolve_families(families)
@@ -688,10 +761,15 @@ def harvest(
     t0 = time.perf_counter()
     store, reports = _collect_rows(n, coeff, chosen, progress)
     t1 = time.perf_counter()
+    rss = {"collect": peak_rss_kib()}
     if progress:
         progress(f"collected {len(store.rows)} unique rows; eliminating")
     elim = ExactEliminator(n, ncols, store.rows)
     survivors, residual_rows = elim.finish()
+    rss["eliminate"] = peak_rss_kib()
+    t2 = time.perf_counter()
+    _audit_elimination(elim.pivot_cols, elim.pivot_rows, residual_rows, _phi_columns(n, coeff))
+    t3 = time.perf_counter()
     if progress:
         progress(
             f"{len(elim.pivot_cols)} pivots, {len(residual_rows)} residual rows, "
@@ -699,7 +777,11 @@ def harvest(
         )
     bound, divisors, module = _account(len(survivors), survivors, residual_rows)
     matrix = _compact_matrix(elim.pivot_rows, residual_rows, ncols)
-    timings = {"collect": t1 - t0, "eliminate": time.perf_counter() - t1}
+    timings = {
+        "collect": t1 - t0,
+        "eliminate": t2 - t1 + time.perf_counter() - t3,
+        "audit": t3 - t2,
+    }
     return ModulePresentation(
         n=n,
         coeff=coeff,
@@ -714,6 +796,7 @@ def harvest(
         manifest=tuple(reports),
         stats=elim.stats,
         timings=timings,
+        peak_rss_kib=rss,
     )
 
 

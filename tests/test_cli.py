@@ -193,8 +193,11 @@ def test_report_body_stable_across_runs_and_thread_counts(capsys):
 def test_homology_rank3_blocks(capsys):
     code, out, _ = run_cli(capsys, "homology", "--n", "3")
     assert code == EXIT_OK
-    body = load_report(out)["body"]
+    doc = load_report(out)
+    body = doc["body"]
     assert body["command"] == "homology"
+    for coeff in ("H", "Hdual"):
+        assert doc["meta"]["timings"][coeff]["peak_rss_kib"]["five_term"] > 0
     assert set(body["results"]) == {"H", "Hdual"}
 
     h = body["results"]["H"]
@@ -345,7 +348,10 @@ def test_certify_h2_rank4_certifies_and_writes_artifacts(tmp_path, capsys):
     # run telemetry lives in meta only
     timings = doc["meta"]["timings"]["H"]
     assert timings["eliminator"]["retired"] == harvest["pivots"]
-    assert {"collect", "eliminate", "harvest"} <= set(timings)
+    assert {"collect", "eliminate", "audit", "harvest"} <= set(timings)
+    rss = timings["peak_rss_kib"]
+    assert set(rss) == {"collect", "eliminate"}
+    assert 0 < rss["collect"] <= rss["eliminate"]  # a high-water mark only rises
     assert set(timings["five_term"]) == {
         "assemble", "chain_check", "d1_snf", "echelon", "image_snf", "modp_check"
     }
@@ -384,7 +390,8 @@ _EXPECTED = json.loads(
 
 
 @pytest.mark.parametrize(
-    "command,n", [("verify", 3), ("certify-h2", 3), ("homology", 5), ("homology", 6)]
+    "command,n",
+    [("verify", 3), ("certify-h2", 3), ("certify-h2", 4), ("homology", 5), ("homology", 6)],
 )
 def test_report_hash_matches_benchmark_expectation(capsys, command, n):
     want = _EXPECTED[command][str(n)]

@@ -16,7 +16,9 @@ from functools import lru_cache
 import pytest
 
 from autfplus import reduction
+from autfplus import homology
 from autfplus.homology import (
+    ConsistencyError,
     IntMatrix,
     LModule,
     five_term_data,
@@ -36,6 +38,7 @@ from autfplus.reduction import (
     RowStore,
     _KMAX,
     _account,
+    _audit_elimination,
     _collect_rows,
     _compact_matrix,
     _resolve_families,
@@ -118,15 +121,38 @@ def test_relation_rows_single_factor_match_fold():
 # -- row store ----------------------------------------------------------
 
 
-def test_row_store_normalizes_and_dedupes():
-    store = RowStore(10)
-    assert store.add_row({}) == "zero"
-    assert store.add_row({1: 2, 3: -4}) == "new"
-    assert store.add_row({1: 1, 3: -2}) == "dup"  # same row up to a 2-power
-    assert store.add_row({1: 4, 3: -8}) == "dup"
-    assert store.add_row({1: 3, 3: -6}) == "new"  # odd content is kept as is
-    assert store.stats == {"rows": 5, "zero": 1, "dup": 2}
-    assert store.rows[0] == {1: 1, 3: -2}
+# (row, outcome): 2-power multiples and reordered keys are duplicates
+_STORE_SEQUENCE = (
+    ({}, "zero"),
+    ({1: 2, 3: -4}, "new"),
+    ({1: 1, 3: -2}, "dup"),  # same row up to a 2-power
+    ({1: 4, 3: -8}, "dup"),
+    ({1: 3, 3: -6}, "new"),  # odd content is kept as is
+    ({3: -6, 1: 3}, "dup"),  # same row, keys in another order
+    ({1: 1, 4: -2}, "new"),
+    ({2: 5}, "new"),
+    ({2: -20}, "new"),
+    ({2: 20}, "dup"),
+)
+
+
+def test_row_store_normalizes_and_dedupes(monkeypatch):
+    def fill():
+        store = RowStore(10)
+        assert [store.add_row(row) for row, _ in _STORE_SEQUENCE] == [
+            want for _, want in _STORE_SEQUENCE
+        ]
+        assert store.stats == {"rows": 10, "zero": 1, "dup": 4}
+        assert store.rows == [{1: 1, 3: -2}, {1: 3, 3: -6}, {1: 1, 4: -2}, {2: 5}, {2: -5}]
+        return store
+
+    fill()
+    # every hash collides: equality alone decides, so distinct rows are all kept
+    monkeypatch.setattr(reduction, "_row_key", lambda row: 0)
+    store = fill()
+    assert store._index == {0: (0, 1, 2, 3, 4)}
+    store.close()
+    assert store._index is None
 
 
 # -- eliminator vs the SNF oracle ---------------------------------------
@@ -274,7 +300,8 @@ def test_harvest_rank3_values(harvest3H):
     assert pres.residual_rows == 0 and pres.residual_divisors == ()
     assert pres.pivot_count + len(pres.survivors) == pres.generator_count
     assert pres.stats["retired"] == pres.pivot_count
-    assert set(pres.timings) == {"collect", "eliminate"}
+    assert set(pres.timings) == {"collect", "eliminate", "audit"}
+    assert 0 < pres.peak_rss_kib["collect"] <= pres.peak_rss_kib["eliminate"]
     # the 5-letter transport family has no admissible tuples at rank 3;
     # the bound is honest but cannot reach the kernel rank (33)
     f3 = [r for r in pres.manifest if r.tag == "F3"][0]
@@ -364,6 +391,81 @@ def test_harvest_rejects_rows_outside_ker_phi(monkeypatch):
     monkeypatch.setattr(reduction, "relation_from_null", corrupted)
     with pytest.raises(HarvestError, match="ker"):
         harvest(3, "H")
+
+
+def test_harvest_releases_the_fold_cache_and_the_dedup_index():
+    fold(3, embed_E(3, 1, 2), "R4-1(1,2)", 1, "H")
+    assert homology.word_action.cache_info().currsize > 0
+    harvest(3, "H")
+    assert homology.word_action.cache_info().currsize == 0
+    store, _ = _collect_rows(3, "Hdual", FAMILY_TAGS, None)
+    assert store._index is None and store.rows
+    assert homology.word_action.cache_info().currsize == 0
+
+
+# -- the elimination audit ---------------------------------------------
+# Each mutation corrupts the eliminator's output in a way one audit check
+# must catch; the harvest then refuses with a ConsistencyError (exit 2).
+
+
+def _corrupt_finish(monkeypatch, mutate):
+    real = ExactEliminator.finish
+
+    def finish(self):
+        survivors, residual = real(self)
+        mutate(self)
+        return survivors, residual
+
+    monkeypatch.setattr(ExactEliminator, "finish", finish)
+
+
+def test_audit_rejects_a_pivot_without_an_L_unit(monkeypatch):
+    def mutate(elim):
+        row = elim.pivot_rows[5]
+        for c in row:
+            row[c] *= 3  # still in ker(phi), still triangular
+
+    _corrupt_finish(monkeypatch, mutate)
+    with pytest.raises(ConsistencyError, match="pivot row 5 has no L-unit"):
+        harvest(3, "H")
+
+
+def test_audit_rejects_an_entry_at_an_earlier_pivot_column(monkeypatch):
+    def mutate(elim):
+        first = elim.pivot_rows[0]
+        # a later pivot row plus the first one: still in ker(phi), and its
+        # own pivot entry is untouched, but it now meets pivot column 0
+        t = next(t for t, c in enumerate(elim.pivot_cols) if t and c not in first)
+        row = elim.pivot_rows[t]
+        for c, v in first.items():
+            row[c] = row.get(c, 0) + v
+
+    _corrupt_finish(monkeypatch, mutate)
+    with pytest.raises(ConsistencyError, match="earlier pivot column"):
+        harvest(3, "H")
+
+
+def test_audit_rejects_a_wrong_merge_multiplier(monkeypatch):
+    real = reduction._merge
+
+    def merge(row, piv, c):
+        # clears column c as it should, but subtracts the rest of the pivot
+        # row twice
+        return real(row, {cc: v if cc == c else 2 * v for cc, v in piv.items()}, c)
+
+    monkeypatch.setattr(reduction, "_merge", merge)
+    with pytest.raises(ConsistencyError, match=r"row \d+ is not in ker\(phi\)"):
+        harvest(3, "H")
+
+
+def test_audit_checks_residual_rows():
+    phi_cols = reduction._phi_columns(3, "H")
+    with pytest.raises(ConsistencyError, match="residual row 0 has an entry at a pivot column"):
+        _audit_elimination([0], [{0: 1}], [{0: 3}], {})
+    g = min(phi_cols)
+    with pytest.raises(ConsistencyError, match="residual row 0 is not in ker"):
+        _audit_elimination([], [], [{g: 1}], phi_cols)
+    _audit_elimination([0, 1], [{0: -2, 1: 3}, {1: 4}], [{2: 3}], {})
 
 
 # -- survivor reporting -------------------------------------------------
