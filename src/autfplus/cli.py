@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .homology import (
@@ -320,18 +320,7 @@ def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
                 "module": pres.module.describe(),
                 "survivors": len(pres.survivors),
                 "survivor_summary": survivor_summary(pres.survivor_indices()),
-                "manifest": [
-                    {
-                        "tag": rep.tag,
-                        "name": rep.name,
-                        "instances": rep.instances,
-                        "certified": rep.certified,
-                        "rows": rep.rows,
-                        "zero_rows": rep.zero_rows,
-                        "unique_rows": rep.unique_rows,
-                    }
-                    for rep in pres.manifest
-                ],
+                "manifest": [asdict(rep) for rep in pres.manifest],
             },
             "certificate": {
                 "ok": cert.ok,

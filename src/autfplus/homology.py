@@ -230,15 +230,15 @@ def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
     return tuple(out)
 
 
-@lru_cache(maxsize=300000)
+@lru_cache(maxsize=None)
 def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
     """Action matrix of pi(xw) on the coefficient space.
 
     Built by suffix recursion, so words that share a tail (the conjugators
-    of a harvest) share its cached product.  The cache lives for one
-    coefficient module: the keys include `coeff`, so one module's entries
-    never serve another, and the harvest clears it when a module's row
-    collection ends.
+    of a harvest) share its cached product.  The cache is unbounded, like
+    every cache in the package, and lives for one coefficient module: the
+    keys include `coeff`, so one module's entries never serve another, and
+    the harvest clears it when a module's row collection ends.
     """
     if not xw:
         return _eye_small(n)
@@ -359,7 +359,7 @@ class IntMatrix:
 # -- boundary and relator-column matrices ------------------------------
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def d1_matrix(n: int, coeff: str) -> IntMatrix:
     """Block boundary, n rows by n*|X| columns; x-block is (action of x) - I."""
     presentation.check_rank(n)
@@ -395,7 +395,7 @@ def _phi_matrix_left_derivative(n: int, coeff: str) -> IntMatrix:
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def phi_matrix(n: int, coeff: str) -> IntMatrix:
     """Relator columns inside the block sum: n*|X| rows by n*|R| columns.
 

@@ -220,10 +220,6 @@ def reduced_relators(n: int) -> tuple[Relator, ...]:
     return tuple(rels)
 
 
-FAMILIES = ("R2-1", "R2-2", "R2-3", "R2-4", "R2-5", "R2-6", "R2-7", "R2-8",
-            "R3-1", "R3-2", "R3-3", "R3-4", "R4-1", "R5-1")
-
-
 @lru_cache(maxsize=None)
 def relator_index(n: int) -> Mapping[str, int]:
     """label -> 0-based position in reduced_relators(n) (stable, read-only)."""

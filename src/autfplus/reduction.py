@@ -102,7 +102,7 @@ def unflatten(n: int, col: int) -> GenIndex:
 def _family_rank_by_col(n: int) -> tuple:
     # Elimination steering: kill 4th powers first, then commuting pairs,
     # then inverse-pair products, leaving the triangle relators to survive.
-    order = {"R5": 0, "R2": 1, "R4": 2, "R3": 3, "R1": 1}
+    order = {"R5": 0, "R2": 1, "R4": 2, "R3": 3}
     out = []
     for rel in reduced_relators(n):
         out.extend([order[rel.label.split("-")[0]]] * n)
@@ -462,10 +462,10 @@ class ExactEliminator:
         self.ncols = ncols
         self.fam_rank = _family_rank_by_col(n)
         self.rows: list[dict[int, int] | None] = [dict(r) for r in rows]
-        self.col_rows: dict[int, set[int]] = {}
+        self.col_rows: list[set[int]] = [set() for _ in range(ncols)]
         for rid, row in enumerate(self.rows):
             for c in row:
-                self.col_rows.setdefault(c, set()).add(rid)
+                self.col_rows[c].add(rid)
         self.pivot_cols: list[int] = []
         self.pivot_rows: list[dict[int, int]] = []
         # heap pops by what they found, merges, and (after finish) the
@@ -504,13 +504,8 @@ class ExactEliminator:
             heapq.heappush(self._heap, entry)
 
     def _drop_row(self, rid: int) -> None:
-        row = self.rows[rid]
-        for c in row:
-            s = self.col_rows.get(c)
-            if s is not None:
-                s.discard(rid)
-                if not s:
-                    del self.col_rows[c]
+        for c in self.rows[rid]:
+            self.col_rows[c].discard(rid)
         self.rows[rid] = None
 
     def run(self) -> None:
@@ -549,24 +544,21 @@ class ExactEliminator:
             self._drop_row(rid)
             self.pivot_cols.append(c)
             self.pivot_rows.append(piv)
-            for rid2 in sorted(col_rows.get(c, ())):
+            for rid2 in sorted(col_rows[c]):
                 tgt = rows[rid2]
                 lost, gained = _merge(tgt, piv, c)
                 st["merges"] += 1
                 _normalize_row(tgt)
                 for cc in lost:
-                    s = col_rows.get(cc)
-                    if s is not None:
-                        s.discard(rid2)
-                        if not s:
-                            del col_rows[cc]
+                    col_rows[cc].discard(rid2)
                 for cc in gained:
-                    col_rows.setdefault(cc, set()).add(rid2)
+                    col_rows[cc].add(rid2)
                 if not tgt:
                     rows[rid2] = None
                 else:
                     push_best(rid2)
-            col_rows.pop(c, None)
+            # column c is drained; a fresh set releases its grown table
+            col_rows[c] = set()
 
     def finish(self) -> tuple[list[int], list[dict[int, int]]]:
         self.run()

@@ -231,6 +231,8 @@ PIVOT_FINGERPRINTS = {
     (3, "Hdual"): "6e1268f034a0141218abde6b7d3c9588c5cb8815090528233ddd1696b87d0fb3",
     (4, "H"): "85b8123244b9d2d739c35ae1f9add9b23f9f486321551cc2fa9cdced3b51532c",
     (4, "Hdual"): "9de23a471ac8d0847ad4e8ff7a649768f21be4936377dd44946612d5f40744ed",
+    (5, "H"): "6356974fc06bab2f4644935a8eed2f6ec23cf3ee11559de0e54e65ae5e4e1f65",
+    (5, "Hdual"): "95cbec5de88e5e05f7babbf286d16ffc48e3da64dd0e8f87392691add9e8e9d5",
 }
 
 
@@ -275,6 +277,10 @@ def test_eliminator_counters(coeff):
     elim, _ = _full_elimination(4, coeff)
     assert elim.stats == ELIMINATOR_STATS[coeff]
     assert elim.stats["retired"] == len(elim.pivot_cols)
+    # the column occupancy index every fill score reads matches the rows
+    assert {(c, rid) for c, s in enumerate(elim.col_rows) for rid in s} == {
+        (c, rid) for rid, row in enumerate(elim.rows) if row for c in row
+    }
 
 
 # -- harvest at small rank ---------------------------------------------
