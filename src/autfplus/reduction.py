@@ -420,7 +420,7 @@ def _merge(row: dict[int, int], piv: dict[int, int], c: int) -> tuple[list[int],
     Returns the columns the row lost and the columns it gained.
     """
     u = piv[c]
-    k = two_adic_split(abs(u))[0]
+    k = _ELIGIBLE[u]  # the pivot entry is eligible by construction
     v = row[c]
     if k:
         for cc in row:
@@ -455,6 +455,21 @@ class ExactEliminator:
     diagonal; together with the fully reduced residual this preserves the
     L-lattice exactly and justifies counting the bound as
     (columns) - (pivots) - (L-unit divisors of the residual).
+
+    The pivot search is a lazy heap of (score, k, family, column, row)
+    keys.  A popped key is checked against the row's current state: a dead
+    row is dropped, a vanished or ineligible column re-pushes the row's best
+    key, a changed score re-pushes that column's current key, and a key that
+    still holds retires its row.  `_last[rid]` holds row rid's most recently
+    pushed key that has not been popped: a push equal to it is skipped
+    (`skipped`), and a pop equal to it clears the slot, so a key computed
+    again after its pop goes back on the heap.  That keeps the pivot sequence, because a second copy of a
+    queued key can only pop as a no-op.  Equal keys are identical tuples, so
+    when the first copy pops, the second is next in line.  If the first copy
+    retires the row, or pushes a smaller key that pops next in the same state
+    and retires the row, the second copy finds the row dead.  Otherwise the
+    second copy pops next, in the same state, and pushes what the first copy
+    pushed: a duplicate again, so the argument repeats.
     """
 
     def __init__(self, n: int, ncols: int, rows: list[dict[int, int]]):
@@ -468,39 +483,57 @@ class ExactEliminator:
                 self.col_rows[c].add(rid)
         self.pivot_cols: list[int] = []
         self.pivot_rows: list[dict[int, int]] = []
-        # heap pops by what they found, merges, and (after finish) the
-        # largest entry bit-length over the pivot and residual rows
+        # heap pops by what they found, pushes skipped as already queued,
+        # merges, and (after finish) the largest entry bit-length over the
+        # pivot and residual rows
         self.stats: dict[str, int] = dict.fromkeys(
             ("dead_row", "column_gone", "ineligible", "score_raised",
-             "score_lowered", "retired", "merges", "max_bits"), 0
+             "score_lowered", "skipped", "retired", "merges", "max_bits"), 0
         )
         self._heap: list[tuple] = []
+        self._last: list[tuple | None] = [None] * len(self.rows)
         for rid in range(len(self.rows)):
             self._push_best(rid)
 
     def _best_entry(self, rid: int) -> tuple | None:
         row = self.rows[rid]
-        if not row:
-            return None
         fam = self.fam_rank
+        if len(row) <= 1:
+            # the fill score is 0 whatever the occupancy
+            for c, v in row.items():
+                k = _ELIGIBLE.get(v)
+                if k is not None:
+                    return (0, k, fam[c], c, rid)
+            return None
+        # the score nr * (occ - 1) with nr >= 1 orders like occ, so a column
+        # fuller than the best so far is skipped before anything else
         col_rows = self.col_rows
-        nr = len(row) - 1
         best = None
+        best_occ = len(self.rows) + 1
         for c, v in row.items():
+            occ = len(col_rows[c])
+            if occ > best_occ:
+                continue
             k = _ELIGIBLE.get(v)
             if k is None:
                 continue
-            score = nr * (len(col_rows[c]) - 1)
-            if best is not None and score > best[0]:
-                continue
-            key = (score, k, fam[c], c, rid)
+            key = (occ, k, fam[c], c)
             if best is None or key < best:
                 best = key
-        return best
+                best_occ = occ
+        if best is None:
+            return None
+        occ, k, f, c = best
+        return ((len(row) - 1) * (occ - 1), k, f, c, rid)
 
     def _push_best(self, rid: int) -> None:
         entry = self._best_entry(rid)
-        if entry is not None:
+        if entry is None:
+            return
+        if entry == self._last[rid]:
+            self.stats["skipped"] += 1
+        else:
+            self._last[rid] = entry
             heapq.heappush(self._heap, entry)
 
     def _drop_row(self, rid: int) -> None:
@@ -513,12 +546,15 @@ class ExactEliminator:
         rows = self.rows
         col_rows = self.col_rows
         fam_rank = self.fam_rank
+        last = self._last
         push_best = self._push_best
         heappop, heappush = heapq.heappop, heapq.heappush
         st = self.stats
         while heap:
             entry = heappop(heap)
             score, k, fam, c, rid = entry
+            if entry == last[rid]:
+                last[rid] = None
             row = rows[rid]
             if not row:
                 st["dead_row"] += 1  # a dead row has no entry to push again
@@ -536,7 +572,11 @@ class ExactEliminator:
             cur = ((len(row) - 1) * (len(col_rows[c]) - 1), kk, fam_rank[c], c, rid)
             if cur != entry:
                 st["score_raised" if cur > entry else "score_lowered"] += 1
-                heappush(heap, cur)
+                if cur == last[rid]:
+                    st["skipped"] += 1
+                else:
+                    last[rid] = cur
+                    heappush(heap, cur)
                 continue
             # retire (rid, c) and clear column c everywhere else
             st["retired"] += 1

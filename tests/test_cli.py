@@ -348,6 +348,7 @@ def test_certify_h2_rank4_certifies_and_writes_artifacts(tmp_path, capsys):
     # run telemetry lives in meta only
     timings = doc["meta"]["timings"]["H"]
     assert timings["eliminator"]["retired"] == harvest["pivots"]
+    assert timings["eliminator"]["skipped"] > 0  # pushes of an already queued key
     assert {"collect", "eliminate", "audit", "harvest"} <= set(timings)
     rss = timings["peak_rss_kib"]
     assert set(rss) == {"collect", "eliminate"}

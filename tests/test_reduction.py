@@ -9,6 +9,7 @@ must agree with what the full integer SNF says over L = Z[1/2].
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import random
 from functools import lru_cache
@@ -36,11 +37,14 @@ from autfplus.reduction import (
     HarvestError,
     ModulePresentation,
     RowStore,
+    _ELIGIBLE,
     _KMAX,
     _account,
     _audit_elimination,
     _collect_rows,
     _compact_matrix,
+    _merge,
+    _normalize_row,
     _resolve_families,
     flat_index,
     fold,
@@ -220,6 +224,153 @@ def test_eligible_table_matches_the_valuation_rule():
         assert reduction._ELIGIBLE.get(v) == want, v
 
 
+class _ReferenceEliminator(ExactEliminator):
+    """The lazy-heap pivot search without `_last` or the occupancy-first
+    scan: every push goes on the heap, and every eligible entry of a row is
+    scored.  The order oracle for ExactEliminator."""
+
+    def _best_entry(self, rid: int) -> tuple | None:
+        row = self.rows[rid]
+        if not row:
+            return None
+        fam = self.fam_rank
+        col_rows = self.col_rows
+        nr = len(row) - 1
+        best = None
+        for c, v in row.items():
+            k = _ELIGIBLE.get(v)
+            if k is None:
+                continue
+            score = nr * (len(col_rows[c]) - 1)
+            if best is not None and score > best[0]:
+                continue
+            key = (score, k, fam[c], c, rid)
+            if best is None or key < best:
+                best = key
+        return best
+
+    def _push_best(self, rid: int) -> None:
+        entry = self._best_entry(rid)
+        if entry is not None:
+            heapq.heappush(self._heap, entry)
+
+    def run(self) -> None:
+        heap = self._heap
+        rows = self.rows
+        col_rows = self.col_rows
+        fam_rank = self.fam_rank
+        push_best = self._push_best
+        heappop, heappush = heapq.heappop, heapq.heappush
+        st = self.stats
+        while heap:
+            entry = heappop(heap)
+            score, k, fam, c, rid = entry
+            row = rows[rid]
+            if not row:
+                st["dead_row"] += 1  # a dead row has no entry to push again
+                continue
+            v = row.get(c)
+            if v is None:
+                st["column_gone"] += 1
+                push_best(rid)
+                continue
+            kk = _ELIGIBLE.get(v)
+            if kk is None:
+                st["ineligible"] += 1
+                push_best(rid)
+                continue
+            cur = ((len(row) - 1) * (len(col_rows[c]) - 1), kk, fam_rank[c], c, rid)
+            if cur != entry:
+                st["score_raised" if cur > entry else "score_lowered"] += 1
+                heappush(heap, cur)
+                continue
+            # retire (rid, c) and clear column c everywhere else
+            st["retired"] += 1
+            piv = row
+            self._drop_row(rid)
+            self.pivot_cols.append(c)
+            self.pivot_rows.append(piv)
+            for rid2 in sorted(col_rows[c]):
+                tgt = rows[rid2]
+                lost, gained = _merge(tgt, piv, c)
+                st["merges"] += 1
+                _normalize_row(tgt)
+                for cc in lost:
+                    col_rows[cc].discard(rid2)
+                for cc in gained:
+                    col_rows[cc].add(rid2)
+                if not tgt:
+                    rows[rid2] = None
+                else:
+                    push_best(rid2)
+            # column c is drained; a fresh set releases its grown table
+            col_rows[c] = set()
+
+
+_POPS = ("dead_row", "column_gone", "ineligible", "score_raised", "score_lowered")
+
+
+def _sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list[dict[int, int]]:
+    """Sparse rows over +-1, +-2, +-4, +-8 and +-3, about a fifth of them
+    single-entry."""
+    vals = (-8, -4, -3, -2, -1, 1, 2, 3, 4, 8)
+    density = rng.uniform(0.1, 0.4)
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.2:
+            rows.append({rng.randrange(ncols): rng.choice(vals)})
+            continue
+        row = {c: rng.choice(vals) for c in range(ncols) if rng.random() < density}
+        if row:
+            rows.append(row)
+    return rows
+
+
+# A matrix on which a row pops a key, pushes nothing, and later computes
+# that same key again: an eliminator whose pops never cleared `_last`
+# would skip the second push and leave the reference order here.
+_REQUEUED_KEY = (16, [
+    {0: -3, 1: 3, 4: -3, 7: 1, 10: 3}, {0: -4, 1: -3, 2: 4, 9: 2}, {1: -3, 3: -8, 9: 3},
+    {0: -3, 5: 2, 6: -8, 7: -4, 11: 3, 13: -2, 14: -3},
+    {0: -2, 5: 1, 7: 4, 8: 4, 9: -4, 13: 4}, {9: -4}, {7: -2},
+    {2: -4, 4: -1, 8: 2, 11: 1, 13: -2},
+    {0: 1, 2: 3, 3: 1, 4: 1, 8: 4, 10: 2, 11: 8, 12: -4, 14: -8},
+    {2: -8, 3: -3, 15: 4}, {15: -1}, {0: -1, 5: -1, 8: -2}, {9: -1},
+    {1: -4, 2: -8, 4: -3, 5: 2, 7: -4, 9: -3, 15: -1}, {3: -8, 9: -2, 11: -8, 14: 3},
+    {0: 4, 9: -3, 13: -2, 14: 8}, {0: 4, 4: -2, 8: 3, 11: -1, 12: 8, 13: -1},
+    {0: 3, 1: -8, 3: -4, 6: 8, 8: 3, 14: -1}, {0: 1, 1: -1, 2: -8, 5: 4, 11: 3, 12: 2, 14: 8},
+    {5: 4},
+])
+
+
+def _order_cases():
+    yield _REQUEUED_KEY
+    rng = random.Random(20240601)
+    for _ in range(300):
+        ncols = rng.randint(3, 30)
+        yield ncols, _sparse_rows(rng, rng.randint(2, 40), ncols)
+
+
+def test_eliminator_keeps_the_reference_pivot_order():
+    ran = dict.fromkeys(_POPS, 0)
+    for ncols, rows in _order_cases():
+        ref = _ReferenceEliminator(3, ncols, rows)
+        ref_survivors, ref_residual = ref.finish()
+        elim = ExactEliminator(3, ncols, rows)
+        survivors, residual = elim.finish()
+        assert elim.pivot_cols == ref.pivot_cols
+        assert elim.pivot_rows == ref.pivot_rows
+        assert (survivors, residual) == (ref_survivors, ref_residual)
+        for name in ("retired", "merges", "max_bits"):
+            assert elim.stats[name] == ref.stats[name], name
+        # a skipped push only drops pops that the reference wasted
+        for name in _POPS:
+            assert elim.stats[name] <= ref.stats[name], name
+            ran[name] += elim.stats[name]
+        assert ref.stats["skipped"] == 0
+    assert all(ran.values()), ran
+
+
 # -- the full elimination at small rank ---------------------------------
 
 # sha256 of (pivot columns, pivot rows, residual rows) of the elimination of
@@ -256,19 +407,27 @@ def test_pivot_sequence_fingerprint(n, coeff):
     assert digest == PIVOT_FINGERPRINTS[n, coeff]
 
 
-# Heap pops by what they found, merges and the largest entry bit-length at
-# n = 4: the heap traffic of the pivot search, which repeats exactly.
+# Heap pops by what they found, pushes skipped as already queued, merges
+# and the largest entry bit-length at n = 4: the heap traffic of the pivot
+# search, which repeats exactly.
 ELIMINATOR_STATS = {
     "H": {
-        "dead_row": 60551, "column_gone": 29702, "ineligible": 65,
-        "score_raised": 12575, "score_lowered": 5, "retired": 1108,
-        "merges": 60799, "max_bits": 3,
+        "dead_row": 33136, "column_gone": 16211, "ineligible": 31,
+        "score_raised": 7426, "score_lowered": 5, "skipped": 27514,
+        "retired": 1108, "merges": 60799, "max_bits": 3,
     },
     "Hdual": {
-        "dead_row": 54124, "column_gone": 28539, "ineligible": 17,
-        "score_raised": 7067, "score_lowered": 46, "retired": 1109,
-        "merges": 56355, "max_bits": 5,
+        "dead_row": 31724, "column_gone": 17606, "ineligible": 16,
+        "score_raised": 4353, "score_lowered": 46, "skipped": 23194,
+        "retired": 1109, "merges": 56355, "max_bits": 5,
     },
+}
+
+# The same pop counts before pushes of an already queued key were skipped.
+# Skipping drops only wasted pops, so no count may rise above these.
+REFERENCE_POPS = {
+    "H": {"dead_row": 60551, "column_gone": 29702, "ineligible": 65, "score_raised": 12575},
+    "Hdual": {"dead_row": 54124, "column_gone": 28539, "ineligible": 17, "score_raised": 7067},
 }
 
 
@@ -277,6 +436,8 @@ def test_eliminator_counters(coeff):
     elim, _ = _full_elimination(4, coeff)
     assert elim.stats == ELIMINATOR_STATS[coeff]
     assert elim.stats["retired"] == len(elim.pivot_cols)
+    for name, ceiling in REFERENCE_POPS[coeff].items():
+        assert ELIMINATOR_STATS[coeff][name] <= ceiling, name
     # the column occupancy index every fill score reads matches the rows
     assert {(c, rid) for c, s in enumerate(elim.col_rows) for rid in s} == {
         (c, rid) for rid, row in enumerate(elim.rows) if row for c in row
