@@ -463,13 +463,14 @@ class ExactEliminator:
     still holds retires its row.  `_last[rid]` holds row rid's most recently
     pushed key that has not been popped: a push equal to it is skipped
     (`skipped`), and a pop equal to it clears the slot, so a key computed
-    again after its pop goes back on the heap.  That keeps the pivot sequence, because a second copy of a
-    queued key can only pop as a no-op.  Equal keys are identical tuples, so
-    when the first copy pops, the second is next in line.  If the first copy
-    retires the row, or pushes a smaller key that pops next in the same state
-    and retires the row, the second copy finds the row dead.  Otherwise the
-    second copy pops next, in the same state, and pushes what the first copy
-    pushed: a duplicate again, so the argument repeats.
+    again after its pop goes back on the heap.  That keeps the pivot
+    sequence, because a second copy of a queued key can only pop as a
+    no-op.  Equal keys are identical tuples, so when the first copy pops,
+    the second is next in line.  If the first copy retires the row, or
+    pushes a smaller key that pops next in the same state and retires the
+    row, the second copy finds the row dead.  Otherwise the second copy
+    pops next, in the same state, and pushes what the first copy pushed: a
+    duplicate again, so the argument repeats.
     """
 
     def __init__(self, n: int, ncols: int, rows: list[dict[int, int]]):
@@ -498,15 +499,9 @@ class ExactEliminator:
     def _best_entry(self, rid: int) -> tuple | None:
         row = self.rows[rid]
         fam = self.fam_rank
-        if len(row) <= 1:
-            # the fill score is 0 whatever the occupancy
-            for c, v in row.items():
-                k = _ELIGIBLE.get(v)
-                if k is not None:
-                    return (0, k, fam[c], c, rid)
-            return None
         # the score nr * (occ - 1) with nr >= 1 orders like occ, so a column
-        # fuller than the best so far is skipped before anything else
+        # fuller than the best so far is skipped before anything else; a
+        # one-entry row has a single candidate, so the order does not matter
         col_rows = self.col_rows
         best = None
         best_occ = len(self.rows) + 1
@@ -526,15 +521,17 @@ class ExactEliminator:
         occ, k, f, c = best
         return ((len(row) - 1) * (occ - 1), k, f, c, rid)
 
-    def _push_best(self, rid: int) -> None:
-        entry = self._best_entry(rid)
-        if entry is None:
-            return
+    def _queue(self, rid: int, entry: tuple) -> None:
         if entry == self._last[rid]:
             self.stats["skipped"] += 1
         else:
             self._last[rid] = entry
             heapq.heappush(self._heap, entry)
+
+    def _push_best(self, rid: int) -> None:
+        entry = self._best_entry(rid)
+        if entry is not None:
+            self._queue(rid, entry)
 
     def _drop_row(self, rid: int) -> None:
         for c in self.rows[rid]:
@@ -548,7 +545,8 @@ class ExactEliminator:
         fam_rank = self.fam_rank
         last = self._last
         push_best = self._push_best
-        heappop, heappush = heapq.heappop, heapq.heappush
+        queue = self._queue
+        heappop = heapq.heappop
         st = self.stats
         while heap:
             entry = heappop(heap)
@@ -572,11 +570,7 @@ class ExactEliminator:
             cur = ((len(row) - 1) * (len(col_rows[c]) - 1), kk, fam_rank[c], c, rid)
             if cur != entry:
                 st["score_raised" if cur > entry else "score_lowered"] += 1
-                if cur == last[rid]:
-                    st["skipped"] += 1
-                else:
-                    last[rid] = cur
-                    heappush(heap, cur)
+                queue(rid, cur)
                 continue
             # retire (rid, c) and clear column c everywhere else
             st["retired"] += 1
