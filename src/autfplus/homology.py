@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import presentation, words
 from .nielsen import COEFF_SPACES, H, induced_matrix
@@ -449,18 +449,30 @@ def check_chain_condition(d1: IntMatrix, phi: IntMatrix) -> None:
 
 # -- Smith normal form with transform witnesses ------------------------
 
+# Sparse rows {col: nonzero int}: the working form of every SNF matrix.
+Row = dict[int, int]
+
 
 @dataclass
 class SNFResult:
-    """U . A . V = diag(divisors), with U, V unimodular (inverses included)."""
+    """U . A . V = diag(divisors), with U, V unimodular (inverses included).
+
+    The four witnesses are held as row-major sparse rows {col: nonzero int};
+    `u`, `uinv`, `v` and `vinv` expand them into dense nested lists.
+    """
 
     nrows: int
     ncols: int
     divisors: tuple[int, ...]
-    u: list[list[int]]
-    uinv: list[list[int]]
-    v: list[list[int]]
-    vinv: list[list[int]]
+    u_rows: list[Row]
+    uinv_rows: list[Row]
+    v_rows: list[Row]
+    vinv_rows: list[Row]
+
+    u = property(lambda self: _dense(self.u_rows, self.nrows))
+    uinv = property(lambda self: _dense(self.uinv_rows, self.nrows))
+    v = property(lambda self: _dense(self.v_rows, self.ncols))
+    vinv = property(lambda self: _dense(self.vinv_rows, self.ncols))
 
     def rank(self) -> int:
         return sum(1 for d in self.divisors if d)
@@ -481,8 +493,9 @@ class SNFResult:
             elif e % d != 0:
                 raise ConsistencyError(f"divisor chain broken at {i}: {d} !| {e}")
         m, n = self.nrows, self.ncols
-        U, Ui = _sparse_rows(self.u, m), _sparse_rows(self.uinv, m)
-        V, Vi = _sparse_rows(self.v, n), _sparse_rows(self.vinv, n)
+        U, Ui, V, Vi = self.u_rows, self.uinv_rows, self.v_rows, self.vinv_rows
+        for name, rows, k in (("U", U, m), ("Uinv", Ui, m), ("V", V, n), ("Vinv", Vi, n)):
+            _check_square(name, rows, k)
         if _product(U, Ui) != _unit_rows(m):
             raise ConsistencyError("U.Uinv != I")
         if _product(V, Vi) != _unit_rows(n):
@@ -495,10 +508,6 @@ class SNFResult:
         uid = [{j: x * divs[j] for j, x in row.items() if j < len(divs) and divs[j]} for row in Ui]
         if av != uid:
             raise ConsistencyError("U.A.V != diag(divisors)")
-
-
-# Sparse rows {col: nonzero int}: the working form of every SNF matrix.
-Row = dict[int, int]
 
 
 def _axpy(dst: Row, src: Row, q: int, index: list[set[int]] | None = None, r: int = 0) -> None:
@@ -530,10 +539,22 @@ def _product(x: list[Row], y: list[Row]) -> list[Row]:
     return out
 
 
-def _sparse_rows(dense: list[list[int]], k: int) -> list[Row]:
-    if len(dense) != k or any(len(row) != k for row in dense):
-        raise ConsistencyError(f"SNF witness is not {k} x {k}")
-    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+def _check_square(name: str, rows: list[Row], k: int) -> None:
+    """k sparse rows with every column in 0..k-1 and no stored zero."""
+    if len(rows) != k:
+        raise ConsistencyError(f"SNF witness {name} has {len(rows)} rows, not {k}")
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if not 0 <= j < k or not v:
+                raise ConsistencyError(f"SNF witness {name} row {i} holds {v} at column {j}")
+
+
+def _transpose(rows: list[Row], k: int) -> list[Row]:
+    out: list[Row] = [{} for _ in range(k)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
 
 
 def _sparse_pivot(A: list[Row], t: int) -> tuple[int, int] | None:
@@ -547,15 +568,12 @@ def _sparse_pivot(A: list[Row], t: int) -> tuple[int, int] | None:
     return None if best is None else best[1:]
 
 
-def _dense(rows: list[Row], k: int, transpose: bool = False) -> list[list[int]]:
-    """The k x k matrix (or its transpose) of sparse rows, as nested lists."""
+def _dense(rows: list[Row], k: int) -> list[list[int]]:
+    """The k x k matrix of sparse rows, as nested lists."""
     out = [[0] * k for _ in range(k)]
     for i, row in enumerate(rows):
         for j, v in row.items():
-            if transpose:
-                out[j][i] = v
-            else:
-                out[i][j] = v
+            out[i][j] = v
     return out
 
 
@@ -635,10 +653,10 @@ def snf(a: IntMatrix) -> SNFResult:
         nrows=m,
         ncols=n,
         divisors=tuple(A[i].get(i, 0) for i in range(mn)),
-        u=_dense(U, m),
-        uinv=_dense(UiT, m, transpose=True),
-        v=_dense(VT, n, transpose=True),
-        vinv=_dense(Vi, n),
+        u_rows=U,
+        uinv_rows=_transpose(UiT, m),
+        v_rows=_transpose(VT, n),
+        vinv_rows=Vi,
     )
 
 
@@ -816,7 +834,8 @@ CROSS_CHECK_PRIMES = (3, 5, 7)
 # -- caching / checkpoints ---------------------------------------------
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write the text, or its pieces in order, to path through a temp file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
@@ -826,7 +845,7 @@ def _atomic_write_text(path: str, text: str) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -836,23 +855,36 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _snf_json(res: SNFResult) -> Iterator[str]:
+    """The text of json.dumps(..., sort_keys=True) of the SNF with its dense
+    witnesses, in pieces of one matrix row, written from the sparse rows."""
+    m, n = res.nrows, res.ncols
+    yield f'{{"divisors": {json.dumps(list(res.divisors))}, "ncols": {n}, "nrows": {m}'
+    for key, rows, k in (
+        ("u", res.u_rows, m),
+        ("uinv", res.uinv_rows, m),
+        ("v", res.v_rows, n),
+        ("vinv", res.vinv_rows, n),
+    ):
+        yield f', "{key}": ['
+        zeros = ["0"] * k
+        for i, row in enumerate(rows):
+            cells = zeros.copy()
+            for j, v in row.items():
+                cells[j] = str(v)
+            yield ("[" if i == 0 else ", [") + ", ".join(cells) + "]"
+        yield "]"
+    yield "}"
+
+
 def snf_cached(a: IntMatrix, cache_dir: str | None) -> SNFResult:
     """SNF with its witnesses verified; given a cache dir, also written there
     as an artefact named by the content hash of the matrix, never read back."""
     res = snf(a)
     res.verify(a)
     if cache_dir is not None:
-        doc = {
-            "nrows": res.nrows,
-            "ncols": res.ncols,
-            "divisors": list(res.divisors),
-            "u": res.u,
-            "uinv": res.uinv,
-            "v": res.v,
-            "vinv": res.vinv,
-        }
         path = os.path.join(cache_dir, f"snf-{a.content_hash()[:24]}.json")
-        _atomic_write_text(path, json.dumps(doc, sort_keys=True))
+        _atomic_write_text(path, _snf_json(res))
     return res
 
 

@@ -847,7 +847,8 @@ def _account(
     nsurv: int, survivors: list[int], residual_rows: list[dict[int, int]]
 ) -> tuple[int, tuple[int, ...], LModule]:
     """Read the bound off the residual: B = survivors - L-unit divisors,
-    which is the minimal generator count of the cokernel over L."""
+    which is the minimal generator count of the cokernel over L.  The SNF
+    of the residual is checked against its witnesses like every other."""
     divisors: tuple[int, ...] = ()
     if residual_rows:
         col_of = {c: k for k, c in enumerate(survivors)}
@@ -857,7 +858,10 @@ def _account(
         for j, row in enumerate(residual_rows):
             for c, v in row.items():
                 mat.data[(col_of[c], j)] = v
-        divisors = snf(column_echelon(mat)).nonzero_divisors()
+        ech = column_echelon(mat)
+        res = snf(ech)
+        res.verify(ech)
+        divisors = res.nonzero_divisors()
     module = _lmodule_from_cokernel(nsurv, divisors)
     return module.min_generators(), divisors, module
 

@@ -35,6 +35,7 @@ from autfplus.homology import (
     IntMatrix,
     LModule,
     SNFResult,
+    _dense,
     _letter_times,
     _phi_matrix_left_derivative,
     check_chain_condition,
@@ -338,14 +339,17 @@ def _dense_snf(a: IntMatrix, hits: set[str]) -> SNFResult:
         if pick is None:
             break
         t += 1
+    def rows(mat):
+        return [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+
     return SNFResult(
         nrows=m,
         ncols=n,
         divisors=tuple(int(A[i, i]) for i in range(mn)),
-        u=U.tolist(),
-        uinv=UiT.T.tolist(),
-        v=VT.T.tolist(),
-        vinv=Vi.tolist(),
+        u_rows=rows(U),
+        uinv_rows=rows(UiT.T),
+        v_rows=rows(VT.T),
+        vinv_rows=rows(Vi),
     )
 
 
@@ -374,7 +378,10 @@ def test_snf_matches_the_dense_oracle_value_for_value():
                 if rng.random() < 0.3:
                     for key, v in a.data.items():
                         a.data[key] = rng.choice((2, 3, 4, 6, 9, 10, 15)) * (v // abs(v))
-                assert snf(a) == _dense_snf(a, hits), (m, n, a.triplets())
+                res = snf(a)
+                assert res == _dense_snf(a, hits), (m, n, a.triplets())
+                assert res.u == _dense(res.u_rows, m) and res.uinv == _dense(res.uinv_rows, m)
+                assert res.v == _dense(res.v_rows, n) and res.vinv == _dense(res.vinv_rows, n)
                 trials += 1
     assert trials >= 2000
     assert hits == {"repick", "fix"}
@@ -392,7 +399,7 @@ def test_snf_divisor_chain_and_determinism():
     a = IntMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     r1 = snf(a)
     r2 = snf(a)
-    assert r1.divisors == r2.divisors and r1.u == r2.u and r1.v == r2.v
+    assert r1.divisors == r2.divisors and r1.u_rows == r2.u_rows and r1.v_rows == r2.v_rows
     nz = [d for d in r1.divisors if d]
     for d, e in zip(nz, nz[1:]):
         assert e % d == 0
@@ -403,25 +410,40 @@ def test_snf_verify_catches_tampering():
     res = snf(a)
     res.verify(a)
 
-    def changed(field, i=None, j=None):
-        if field == "divisors":
-            value = (res.divisors[0], res.divisors[1] + 2)
-        else:
-            value = [list(row) for row in getattr(res, field)]
-            value[i][j] += 1
-        return dataclasses.replace(res, **{field: value})
+    def stored(field, i, j, x):
+        rows = [dict(row) for row in getattr(res, field)]
+        rows[i][j] = x
+        return dataclasses.replace(res, **{field: rows})
 
+    def changed(field, i, j):  # one entry off by one; none of them becomes 0
+        return stored(field, i, j, getattr(res, field)[i].get(j, 0) + 1)
+
+    assert 0 not in res.v_rows[0]  # so that a stored zero there changes no product
     tampered = [
-        changed("divisors"),
-        changed("u", 0, 1),
-        changed("uinv", 1, 0),
-        changed("v", 2, 2),
-        changed("vinv", 0, 2),
+        dataclasses.replace(res, divisors=(res.divisors[0], res.divisors[1] + 2)),
+        changed("u_rows", 0, 1),
+        changed("uinv_rows", 1, 0),
+        changed("v_rows", 2, 2),
+        changed("vinv_rows", 0, 2),
         dataclasses.replace(res, divisors=(2, 1)),  # chain order broken
-        dataclasses.replace(res, v=res.v[:2]),  # witness of the wrong shape
+    ]
+    # the shape check names the witness; it runs before any product, which
+    # would raise IndexError on a column >= k, or would not see a stored zero
+    misshapen = [
+        dataclasses.replace(res, uinv_rows=res.v_rows),  # witness of the wrong shape
+        # faults only sparse rows can hold
+        stored("v_rows", 0, 0, 0),  # a stored zero
+        stored("u_rows", 0, 2, 1),  # a column index >= k
+        stored("v_rows", 1, 3, 1),
+        stored("u_rows", 1, -1, 1),  # a column index < 0
+        stored("v_rows", 0, -3, 1),
+        dataclasses.replace(res, v_rows=res.v_rows[:2]),  # a missing row
     ]
     for bad in tampered:
         with pytest.raises(ConsistencyError):
+            bad.verify(a)
+    for bad in misshapen:
+        with pytest.raises(ConsistencyError, match="SNF witness"):
             bad.verify(a)
 
 
@@ -713,6 +735,37 @@ def test_snf_cached_roundtrip(tmp_path):
     assert r1 == r2
     assert path.read_bytes() == written and path.stat().st_mtime_ns
     r2.verify(a)
+
+
+def test_snf_cached_writes_the_text_of_json_dumps(tmp_path):
+    # the artefact is written from the sparse rows; it must be the text that
+    # json.dumps gives for the dense document, on every shape from 0 x k to
+    # 7 x 7, with signed multi-digit entries in the matrix and the witnesses
+    rng = random.Random(5150)
+    multi_digit = 0
+    for m in range(8):
+        for n in range(8):
+            for _ in range(4):
+                a = _random_matrix(rng, m, n, density=rng.choice((0.3, 0.7, 1.0)))
+                for key, v in a.data.items():
+                    a.data[key] = v * rng.choice((1, 1, 13, 101))
+                res = snf_cached(a, str(tmp_path))
+                doc = {
+                    "nrows": m,
+                    "ncols": n,
+                    "divisors": list(res.divisors),
+                    "u": res.u,
+                    "uinv": res.uinv,
+                    "v": res.v,
+                    "vinv": res.vinv,
+                }
+                path = tmp_path / f"snf-{a.content_hash()[:24]}.json"
+                text = path.read_text()
+                assert text == json.dumps(doc, sort_keys=True), (m, n, a.triplets())
+                multi_digit += any(
+                    x <= -10 for key in ("u", "uinv", "v", "vinv") for row in doc[key] for x in row
+                )
+    assert multi_digit >= 50
 
 
 # sha256 of column_echelon(phi).dump() and of the snf-*.json entries written

@@ -213,6 +213,37 @@ def test_eliminator_handles_odd_only_rows():
     assert bound == 0 and module.is_trivial()
 
 
+def test_account_verifies_the_residual_snf(monkeypatch):
+    # synthetic residual rows over survivor columns 2, 5, 7: the SNF of the
+    # residual is checked against its witnesses, and a tampered one raises
+    survivors = [2, 5, 7]
+    residual = [{2: 3, 5: 5}, {2: 5, 5: 3, 7: 6}, {7: 9}]
+    checked = []
+    real_snf = reduction.snf
+
+    def spied(a):
+        res = real_snf(a)
+        verify = res.verify
+        res.verify = lambda mat: (checked.append(mat), verify(mat))
+        return res
+
+    monkeypatch.setattr(reduction, "snf", spied)
+    bound, divisors, module = _account(len(survivors), survivors, residual)
+    assert len(checked) == 1
+    assert divisors == (1, 1, 144) and bound == 1 and module == LModule(0, (9,))
+
+    def tampered(a):
+        res = real_snf(a)
+        res.v_rows[0] = {**res.v_rows[0], len(res.v_rows): 1}  # column past the end
+        return res
+
+    monkeypatch.setattr(reduction, "snf", tampered)
+    with pytest.raises(ConsistencyError):
+        _account(len(survivors), survivors, residual)
+    # an empty residual factors nothing
+    assert _account(3, survivors, []) == (3, (), LModule(3, ()))
+
+
 def test_eligible_table_matches_the_valuation_rule():
     # a pivot entry is +-2^k with k <= _KMAX, and maps to its k
     for v in [*range(-64, 0), *range(1, 65)]:
