@@ -156,25 +156,6 @@ def fox_derivative(w: Word, x: "GenSym | int", n: int | None = None) -> GroupRin
     return GroupRingElt(acc)
 
 
-def fox_derivative_right(w: Word, x: "GenSym | int", n: int | None = None) -> GroupRingElt:
-    """Right-handed variant: D(x)=1, D(x^-1)=-x^-1, D(uv)=D(u).v + D(v).
-
-    This is the flavour that pairs with the boundary convention
-    (x-block: m |-> x.m - m); it satisfies sum_x (x - 1).D_x(w) = w - 1,
-    so relator columns land in ker(d1) on the nose.
-    """
-    s = _symbol_index(x, n)
-    acc: dict[Word, int] = {}
-    for t, y in enumerate(w):
-        if y == s:
-            suf = w[t + 1 :]
-            acc[suf] = acc.get(suf, 0) + 1
-        elif y == -s:
-            suf = w[t:]
-            acc[suf] = acc.get(suf, 0) - 1
-    return GroupRingElt(acc)
-
-
 # -- coefficient actions -----------------------------------------------
 
 SmallMatrix = tuple[tuple[int, ...], ...]
@@ -243,19 +224,6 @@ def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
     if not xw:
         return _eye_small(n)
     return _letter_times(n, coeff, xw[0], word_action(n, coeff, xw[1:]))
-
-
-def evaluate_ring_elt(n: int, coeff: str, e: GroupRingElt) -> SmallMatrix:
-    """Push a group-ring element through the coefficient action (ring map)."""
-    acc = [[0] * n for _ in range(n)]
-    for w, c in e.terms.items():
-        m = word_action(n, coeff, w)
-        for i in range(n):
-            row = m[i]
-            ai = acc[i]
-            for j in range(n):
-                ai[j] += c * row[j]
-    return tuple(tuple(row) for row in acc)
 
 
 # -- sparse integer matrices -------------------------------------------
@@ -376,66 +344,79 @@ def d1_matrix(n: int, coeff: str) -> IntMatrix:
     return out
 
 
-def _phi_matrix_left_derivative(n: int, coeff: str) -> IntMatrix:
-    # The rejected column convention: left derivatives in place of right
-    # ones.  Kept only so tests can demonstrate it breaks the chain
-    # condition with this d1.  (Building d1 from inverse letters instead
-    # does NOT break anything: that sum vanishes on every trivial-action
-    # word, so it cannot distinguish the conventions.)
-    X = gen_count(n)
-    rels = reduced_relators(n)
-    out = IntMatrix(n * X, n * len(rels))
-    for r_idx, rel in enumerate(rels):
-        for s in range(1, X + 1):
-            m = evaluate_ring_elt(n, coeff, fox_derivative(rel.word, s))
-            for i in range(n):
-                for j in range(n):
-                    if m[i][j]:
-                        out.data[((s - 1) * n + i, r_idx * n + j)] = m[i][j]
-    return out
-
-
 @lru_cache(maxsize=None)
 def phi_matrix(n: int, coeff: str) -> IntMatrix:
     """Relator columns inside the block sum: n*|X| rows by n*|R| columns.
 
     Column (r, p) carries, in each symbol block x, the evaluated right
     derivative of r with respect to x applied to the p-th basis vector.
-    Assembled incrementally with suffix action matrices, one letter times
-    a small matrix per letter.
+
+    Every letter acts by an elementary transvection: the identity except
+    for one row, which has two entries.  So the action of a suffix w[t:]
+    differs from the identity in at most len(w) - t rows, and each suffix
+    is carried as {row: dense row} over those rows only.  Block x is then
+    (signed count of x) * I plus the signed sum of (suffix - I), which is
+    nonzero only on the carried rows.
+
+    Entries are inserted relator by relator, block by the symbol's first
+    appearance in the word, then row, then column.  The column echelon
+    reads `data` in that order, and the echelon and SNF artefacts are
+    pinned byte for byte, so the tests pin the order too.
     """
     presentation.check_rank(n)
     rels = reduced_relators(n)
     X = gen_count(n)
     out = IntMatrix(n * X, n * len(rels))
-    eye = _eye_small(n)
+    data = out.data
     for r_idx, rel in enumerate(rels):
         w = rel.word
         s = len(w)
-        suffix = [eye] * (s + 1)
+        # suffix[t]: the rows where the action of w[t:] leaves the identity
+        suffix: list[dict[int, tuple[int, ...]]] = [{}] * (s + 1)
         for t in range(s - 1, -1, -1):
-            suffix[t] = _letter_times(n, coeff, w[t], suffix[t + 1])
-        blocks: dict[int, list[list[int]]] = {}
+            prev = suffix[t + 1]
+            cur = dict(prev)
+            for i, entries in enumerate(_letter_rows(n, coeff, w[t])):
+                if entries is None:
+                    continue
+                acc = [0] * n
+                for k, v in entries:
+                    row = prev.get(k)
+                    if row is None:
+                        acc[k] += v
+                    else:
+                        for j in range(n):
+                            acc[j] += v * row[j]
+                cur[i] = tuple(acc)
+            suffix[t] = cur
+        counts: dict[int, int] = {}
+        deltas: dict[int, dict[int, list[int]]] = {}
         for t, y in enumerate(w):
             sym = abs(y)
-            m = suffix[t + 1] if y > 0 else suffix[t]
             sign = 1 if y > 0 else -1
-            blk = blocks.get(sym)
-            if blk is None:
-                blk = blocks[sym] = [[0] * n for _ in range(n)]
-            for i in range(n):
-                bi = blk[i]
-                mi = m[i]
+            counts[sym] = counts.get(sym, 0) + sign
+            delta = deltas.setdefault(sym, {})
+            for i, row in (suffix[t + 1] if y > 0 else suffix[t]).items():
+                d = delta.get(i)
+                if d is None:
+                    d = delta[i] = [0] * n
                 for j in range(n):
-                    bi[j] += sign * mi[j]
+                    d[j] += sign * row[j]
+                d[i] -= sign
         base_col = r_idx * n
-        for sym, blk in blocks.items():
+        for sym, c in counts.items():
+            delta = deltas[sym]
             base_row = (sym - 1) * n
             for i in range(n):
-                bi = blk[i]
+                d = delta.get(i)
+                if d is None:
+                    if c:
+                        data[(base_row + i, base_col + i)] = c
+                    continue
+                d[i] += c
                 for p in range(n):
-                    if bi[p]:
-                        out.data[(base_row + i, base_col + p)] = bi[p]
+                    if d[p]:
+                        data[(base_row + i, base_col + p)] = d[p]
     return out
 
 

@@ -5,7 +5,10 @@ witnesses, column echelon, mod-p ranks), so everything here is checked
 against independent oracles: sympy's Smith decomposition and the earlier
 dense numpy SNF and mod-p rank (which the sparse ones must match value for
 value) on random small matrices, the fundamental derivative identities on
-random words, and the frozen small-rank values of the pipeline itself.
+random words, phi against its Fox-calculus definition (the right
+derivatives, which live here as test oracles, pushed through the
+coefficient action), and the frozen small-rank values of the pipeline
+itself.
 """
 
 from __future__ import annotations
@@ -37,15 +40,13 @@ from autfplus.homology import (
     SNFResult,
     _dense,
     _letter_times,
-    _phi_matrix_left_derivative,
+    _symbol_index,
     check_chain_condition,
     column_echelon,
     d1_matrix,
     divisor_profile,
-    evaluate_ring_elt,
     five_term_data,
     fox_derivative,
-    fox_derivative_right,
     h2_certificate,
     is_unit_in_L,
     letter_action,
@@ -57,7 +58,7 @@ from autfplus.homology import (
     two_adic_split,
     word_action,
 )
-from autfplus.presentation import GenSym, gen_count, gen_index
+from autfplus.presentation import GenSym, gen_count, gen_index, reduced_relators
 
 # -- fox calculus -------------------------------------------------------
 
@@ -74,6 +75,25 @@ def _one() -> GroupRingElt:
 
 def _gen(x: int) -> GroupRingElt:
     return GroupRingElt.from_word((x,))
+
+
+def fox_derivative_right(w, x, n=None) -> GroupRingElt:
+    """Right free derivative: D(x)=1, D(x^-1)=-x^-1, D(uv)=D(u).v + D(v).
+
+    This is the flavour that pairs with the boundary convention
+    (x-block: m |-> x.m - m); it satisfies sum_x (x - 1).D_x(w) = w - 1,
+    so relator columns land in ker(d1) on the nose.  phi is defined by it.
+    """
+    s = _symbol_index(x, n)
+    acc: dict = {}
+    for t, y in enumerate(w):
+        if y == s:
+            suf = w[t + 1 :]
+            acc[suf] = acc.get(suf, 0) + 1
+        elif y == -s:
+            suf = w[t:]
+            acc[suf] = acc.get(suf, 0) - 1
+    return GroupRingElt(acc)
 
 
 @given(raw_words)
@@ -152,6 +172,27 @@ def _matmul(a, b):
     )
 
 
+def evaluate_ring_elt(n, coeff, e, action=word_action):
+    """Push a group-ring element through the coefficient action (ring map);
+    `action(n, coeff, w)` gives the matrix of one word."""
+    acc = [[0] * n for _ in range(n)]
+    for w, c in e.terms.items():
+        m = action(n, coeff, w)
+        for i in range(n):
+            for j in range(n):
+                acc[i][j] += c * m[i][j]
+    return tuple(tuple(row) for row in acc)
+
+
+def _plain_action(n, coeff, w):
+    """The action of a word as a left-to-right product of dense letter
+    matrices; shares no code with word_action."""
+    prod = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for y in w:
+        prod = _matmul(prod, letter_action(n, coeff, y))
+    return prod
+
+
 def test_word_action_is_multiplicative():
     n = 3
     u = (1, -3, 2)
@@ -169,10 +210,7 @@ def test_word_action_is_multiplicative():
     for coeff in ("H", "Hdual"):
         for length in (7, 12, 20, 31):
             w = tuple(rng.choice((1, -1)) * rng.randint(1, X) for _ in range(length))
-            prod = eye
-            for y in w:
-                prod = _matmul(prod, letter_action(n, coeff, y))
-            assert word_action(n, coeff, w) == prod
+            assert word_action(n, coeff, w) == _plain_action(n, coeff, w)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -633,6 +671,101 @@ def test_divisor_profile():
 @pytest.mark.parametrize("coeff", ["H", "Hdual"])
 def test_chain_condition_holds(n, coeff):
     check_chain_condition(d1_matrix(n, coeff), phi_matrix(n, coeff))
+
+
+def _fox_phi(n, coeff, derivative=fox_derivative_right, action=word_action) -> IntMatrix:
+    """phi from its definition: block x of column (r, p) is column p of the
+    derivative of r with respect to x, pushed through the action."""
+    X = gen_count(n)
+    rels = reduced_relators(n)
+    out = IntMatrix(n * X, n * len(rels))
+    for r_idx, rel in enumerate(rels):
+        for x in range(1, X + 1):
+            m = evaluate_ring_elt(n, coeff, derivative(rel.word, x), action)
+            for i in range(n):
+                for p in range(n):
+                    out.set((x - 1) * n + i, r_idx * n + p, m[i][p])
+    return out
+
+
+def _phi_matrix_left_derivative(n, coeff) -> IntMatrix:
+    # The rejected column convention: left derivatives in place of right
+    # ones, kept to show that it breaks the chain condition with this d1.
+    # (Building d1 from inverse letters instead does NOT break anything:
+    # that sum vanishes on every trivial-action word, so it cannot
+    # distinguish the conventions.)
+    return _fox_phi(n, coeff, derivative=fox_derivative)
+
+
+def _reference_phi(n, coeff) -> IntMatrix:
+    """The dense assembly phi_matrix used before it carried only the
+    non-identity rows of each suffix: full n x n suffix actions and one
+    dense block per symbol, scattered relator, block, row, column."""
+    rels = reduced_relators(n)
+    out = IntMatrix(n * gen_count(n), n * len(rels))
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for r_idx, rel in enumerate(rels):
+        w = rel.word
+        suffix = [eye] * (len(w) + 1)
+        for t in range(len(w) - 1, -1, -1):
+            suffix[t] = _letter_times(n, coeff, w[t], suffix[t + 1])
+        blocks: dict[int, list[list[int]]] = {}
+        for t, y in enumerate(w):
+            m = suffix[t + 1] if y > 0 else suffix[t]
+            sign = 1 if y > 0 else -1
+            blk = blocks.setdefault(abs(y), [[0] * n for _ in range(n)])
+            for i in range(n):
+                for j in range(n):
+                    blk[i][j] += sign * m[i][j]
+        for sym, blk in blocks.items():
+            for i in range(n):
+                for p in range(n):
+                    if blk[i][p]:
+                        out.data[((sym - 1) * n + i, r_idx * n + p)] = blk[i][p]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_phi_matches_its_fox_definition(n, coeff):
+    # every relator r, symbol x and basis index p, through word_action and
+    # through plain dense products of letter matrices
+    phi = phi_matrix(n, coeff)
+    assert phi == _fox_phi(n, coeff)
+    assert phi == _fox_phi(n, coeff, action=_plain_action)
+
+
+def test_fox_definition_catches_a_zeroed_phi_column():
+    n, coeff = 3, "H"
+    phi = phi_matrix(n, coeff)
+    col = max(j for _, j in phi.data)
+    bad = IntMatrix(phi.nrows, phi.ncols, {k: v for k, v in phi.data.items() if k[1] != col})
+    assert bad.nnz() < phi.nnz()
+    check_chain_condition(d1_matrix(n, coeff), bad)  # a zero column lies in ker(d1)
+    assert bad != _fox_phi(n, coeff)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_phi_keeps_the_dense_assembly_order(n, coeff):
+    assert list(phi_matrix(n, coeff).data.items()) == list(_reference_phi(n, coeff).data.items())
+
+
+PHI_SHA256 = {
+    (3, "H"): "a9760f69799a54c7f185f57504c96233a8e8917d6ddf875945f35dc55e47d7e9",
+    (3, "Hdual"): "6c7f7cb74b3d54bd57131666304f0a92b47ff3be86b6d1a6ce3aad63660bff88",
+    (4, "H"): "a77dded38e89c7d55c0b867877a45f9443e008745e4af0c7fa03324b61b3459c",
+    (4, "Hdual"): "6764c5bc8c1a17b79b7463c5b73a36a5a58d215ed09d608fe359edfc154bb354",
+    (5, "H"): "c1a2a6bc596a2d2f6de00647c2306f45ebaac8fb31c4211c97b32110a5858f6b",
+    (5, "Hdual"): "c94fa7a5ab8f26270c75acc5096015df52fe59cfbc238f3f04a8636c334a5d27",
+    (6, "H"): "a2e197b0717f5eba5d854c62c695301799887666555a4386b8b3e0c051b6c991",
+    (6, "Hdual"): "c63b74795e6225977315f6292e0250d55db2a49890d92165d4be338ef13af191",
+}
+
+
+@pytest.mark.parametrize("n,coeff", sorted(PHI_SHA256))
+def test_phi_bytes_are_pinned(n, coeff):
+    assert phi_matrix(n, coeff).content_hash() == PHI_SHA256[(n, coeff)]
 
 
 def test_left_derivative_columns_break_the_chain_condition():
