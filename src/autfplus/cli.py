@@ -254,7 +254,7 @@ def _homology_block(data) -> dict:
 
 
 def _rounded(timings: dict) -> dict:
-    return {k: round(v, 3) for k, v in timings.items()}
+    return {k: _rounded(v) if isinstance(v, dict) else round(v, 3) for k, v in timings.items()}
 
 
 def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:

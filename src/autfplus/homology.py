@@ -211,21 +211,6 @@ def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def word_action(n: int, coeff: str, xw: Word) -> SmallMatrix:
-    """Action matrix of pi(xw) on the coefficient space.
-
-    Built by suffix recursion, so words that share a tail (the conjugators
-    of a harvest) share its cached product.  The cache is unbounded, like
-    every cache in the package, and lives for one coefficient module: the
-    keys include `coeff`, so one module's entries never serve another, and
-    the harvest clears it when a module's row collection ends.
-    """
-    if not xw:
-        return _eye_small(n)
-    return _letter_times(n, coeff, xw[0], word_action(n, coeff, xw[1:]))
-
-
 # -- sparse integer matrices -------------------------------------------
 
 

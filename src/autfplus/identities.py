@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from . import words
@@ -48,8 +50,13 @@ class CertificationError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _label_table(n: int) -> dict:
-    return {rel.label: rel.word for rel in reduced_relators(n)}
+def _signed_table(n: int) -> dict:
+    """(label, exponent) -> the relator word raised to that exponent."""
+    out = {}
+    for rel in reduced_relators(n):
+        out[rel.label, 1] = rel.word
+        out[rel.label, -1] = words.inverse(rel.word)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +79,7 @@ def _sound_labels(n: int) -> frozenset:
     bad = [rel.label for rel in reduced_relators(n)
            if not is_relator_elt(n, rel.word)]
     assert not bad, f"canonical relators not sound at n={n}: {bad[:4]}"
-    return frozenset(_label_table(n))
+    return frozenset(rel.label for rel in reduced_relators(n))
 
 
 # -- formal conjugated-relator products --------------------------------
@@ -88,10 +95,8 @@ class Factor:
     exponent: int
 
     def word(self, n: int) -> Word:
-        r = _label_table(n)[self.relator]
-        if self.exponent == -1:
-            r = words.inverse(r)
-        return words.conjugate(r, self.conj)
+        return words.conjugate(_signed_table(n)[self.relator, self.exponent],
+                               self.conj)
 
     def inverse(self) -> "Factor":
         return Factor(self.conj, self.relator, -self.exponent)
@@ -136,21 +141,33 @@ class RelatorExpression:
         return RelatorExpression(self.n, _conj_factors(self.factors, u))
 
     def expand(self) -> Word:
-        # u, r^{+-1} and u^-1 of every factor go straight onto one reduction
-        # stack; free reduction is confluent, so no factor is reduced first
-        table = _label_table(self.n)
+        # Consecutive factors u r u^-1 and v s v^-1 meet as u^-1 v, so only
+        # what follows the common prefix of u and v goes onto the reduction
+        # stack.  Free reduction is confluent: dropping those cancelling
+        # pairs leaves the word that every u, r^{+-1}, u^-1 in full gives.
+        table = _signed_table(self.n)
         out: list = []
         push, pop = out.append, out.pop
+        prev: Word = ()
         for f in self.factors:
             u = f.conj
-            r = table[f.relator]
-            if f.exponent == -1:
-                r = words.inverse(r)
-            for s in u + r + words.inverse(u):
+            k = 0
+            for x, y in zip(prev, u):
+                if x != y:
+                    break
+                k += 1
+            for s in chain(map(neg, reversed(prev[k:])), u[k:],
+                           table[f.relator, f.exponent]):
                 if out and out[-1] == -s:
                     pop()
                 else:
                     push(s)
+            prev = u
+        for s in map(neg, reversed(prev)):
+            if out and out[-1] == -s:
+                pop()
+            else:
+                push(s)
         return tuple(out)
 
 
@@ -402,13 +419,10 @@ def base_case(n: int, a: int, b: int, c: int, d: int) -> tuple:
 # -- inductive transport -----------------------------------------------
 
 
-def conj_transport(n: int, a: int, b: int, V: Word) -> RelatorExpression:
-    """Express (w_ab^-1 V w_ab)^-1 V^sigma in conjugated canonical relators.
-
-    Built letter by letter from the base cases; the t-th base expression is
-    conjugated by w^-1 (suffix after t)^-1 w.  The result is certified
-    against the expanded target before it is returned.
-    """
+def _transport(n: int, a: int, b: int,
+               V: Word) -> tuple[RelatorExpression, Word]:
+    """conj_transport's expression, with the target word it was certified
+    to expand to."""
     if abs(a) == abs(b) or not (1 <= abs(a) <= n and 1 <= abs(b) <= n):
         raise ValueError(f"invalid transport pair ({a}, {b})")
     V = words.reduce_word(V)
@@ -419,29 +433,62 @@ def conj_transport(n: int, a: int, b: int, V: Word) -> RelatorExpression:
         u_t = words.multiply(winv, words.inverse(V[t + 1:]), w)
         c, d = letters_of_symbol(n, y)
         out.extend(_conj_factors(base_case(n, a, b, c, d), u_t))
-    return _certified(RelatorExpression(n, tuple(out)),
-                      transport_target(n, a, b, V), "conj_transport")
+    target = transport_target(n, a, b, V)
+    return _certified(RelatorExpression(n, tuple(out)), target,
+                      "conj_transport"), target
 
 
-def transport_chain(n: int, pairs: Sequence, V: Word) -> RelatorExpression:
+def conj_transport(n: int, a: int, b: int, V: Word) -> RelatorExpression:
+    """Express (w_ab^-1 V w_ab)^-1 V^sigma in conjugated canonical relators.
+
+    Built letter by letter from the base cases; the t-th base expression is
+    conjugated by w^-1 (suffix after t)^-1 w.  The result is certified
+    against the expanded target before it is returned.
+    """
+    return _transport(n, a, b, V)[0]
+
+
+def transport_chain(n: int, pairs: Sequence,
+                    V: Word) -> tuple[RelatorExpression, Word]:
     """Transport V around a product of monomial words, left to right.
 
-    Expands to (u^-1 V u)^-1 V^{sigma_1 ... sigma_k} for u the concatenation
-    of the monomial words of `pairs`.
+    Returns the expression and its expansion (u^-1 V u)^-1 V^{sigma_1 ...
+    sigma_k}, for u the concatenation of the monomial words of `pairs`.
+    The expansion is composed as g w_head g^-1 w_tail from the certified
+    words of the first transport and of the rest of the chain, with g the
+    inverse of the rest's monomial words.
     """
     if not pairs:
-        return RelatorExpression(n, ())
+        return RelatorExpression(n, ()), ()
     (a, b) = pairs[0]
     rest = pairs[1:]
-    head = conj_transport(n, a, b, V)
+    head, w_head = _transport(n, a, b, V)
     if not rest:
-        return head
-    uprime = words.multiply(*(w_xword(n, p, q) for p, q in rest))
-    tail = transport_chain(n, rest, twist_xword(n, a, b, V))
-    return head.conjugated(words.inverse(uprime)) * tail
+        return head, w_head
+    g = words.inverse(words.multiply(*(w_xword(n, p, q) for p, q in rest)))
+    tail, w_tail = transport_chain(n, rest, twist_xword(n, a, b, V))
+    return (head.conjugated(g) * tail,
+            words.multiply(g, w_head, words.inverse(g), w_tail))
 
 
 # -- null expressions used by the module reduction ---------------------
+# A null is a product of pieces whose words are known: the transports were
+# certified against their target words as they were built, and the few
+# canonical factors around them are expanded here.  Free reduction is
+# confluent, so the reduced product of those words is the expansion of the
+# whole null, and no transport is expanded a second time.
+
+
+def _expanded(expr: RelatorExpression) -> tuple[RelatorExpression, Word]:
+    return expr, expr.expand()
+
+
+def _null_certificate(
+        *pieces: tuple[RelatorExpression, Word]) -> IdentityCertificate:
+    """certify((), product of the pieces), given each piece with its word."""
+    null = RelatorExpression(
+        pieces[0][0].n, tuple(chain.from_iterable(e.factors for e, _ in pieces)))
+    return IdentityCertificate((), null, words.multiply(*(w for _, w in pieces)))
 
 
 def eq21_null(n: int, a: int, b: int, c: int, d: int,
@@ -458,12 +505,11 @@ def eq21_null(n: int, a: int, b: int, c: int, d: int,
         raise ValueError("triangle letters meet the transport pair twice")
     V = r_xword(n, c, d, e)
     winv = words.inverse(w_xword(n, a, b))
-    X = _conj_factors(canon_r(n, c, d, e), winv)
-    T = conj_transport(n, a, b, V).factors
+    X = RelatorExpression(n, _conj_factors(canon_r(n, c, d, e), winv))
     C = canon_r(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d),
                 monomial_letter_perm(a, b, e))
-    null = RelatorExpression(n, X + T + _inv_factors(C))
-    return certify((), null)
+    return _null_certificate(_expanded(X), _transport(n, a, b, V),
+                             _expanded(RelatorExpression(n, _inv_factors(C))))
 
 
 def eq41_null(n: int, a: int, b: int, c: int, d: int) -> IdentityCertificate:
@@ -475,11 +521,10 @@ def eq41_null(n: int, a: int, b: int, c: int, d: int) -> IdentityCertificate:
         raise ValueError("pair letters meet the transport pair twice")
     V = h_xword(n, c, d)
     winv = words.inverse(w_xword(n, a, b))
-    X = _conj_factors(canon_h(n, c, d), winv)
-    T = conj_transport(n, a, b, V).factors
+    X = RelatorExpression(n, _conj_factors(canon_h(n, c, d), winv))
     C = canon_h(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d))
-    null = RelatorExpression(n, X + T + _inv_factors(C))
-    return certify((), null)
+    return _null_certificate(_expanded(X), _transport(n, a, b, V),
+                             _expanded(RelatorExpression(n, _inv_factors(C))))
 
 
 def power_split_null(n: int, i: int, j: int, k: int) -> IdentityCertificate:
@@ -496,8 +541,8 @@ def power_split_null(n: int, i: int, j: int, k: int) -> IdentityCertificate:
     brace2 = transport_chain(n, ((j, k),) * 2,
                              words.power(words.inverse(w_xword(n, i, j)), 4))
     quarter = Factor((), f"R5-1({i},{j})", -1)
-    null = brace1 * brace2 * RelatorExpression(n, (quarter, quarter))
-    return certify((), null)
+    return _null_certificate(
+        brace1, brace2, _expanded(RelatorExpression(n, (quarter, quarter))))
 
 
 # -- identity suite ----------------------------------------------------

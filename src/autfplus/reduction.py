@@ -25,7 +25,9 @@ import resource
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import gcd
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import presentation, words
@@ -34,6 +36,8 @@ from .homology import (
     IntMatrix,
     LModule,
     SmallMatrix,
+    _eye_small,
+    _letter_times,
     _lmodule_from_cokernel,
     column_echelon,
     is_unit_in_L,
@@ -41,7 +45,6 @@ from .homology import (
     rank_mod_p,
     snf,
     two_adic_split,
-    word_action,
 )
 from .identities import (
     Factor,
@@ -112,14 +115,28 @@ def _family_rank_by_col(n: int) -> tuple:
 # -- folding -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def fold_matrix(n: int, coeff: str, u: Word) -> SmallMatrix:
     """Coefficient matrix folding (u r u^-1) tensor m down to r tensor m'.
 
     Column p is the vector of (the inverse of the evaluated conjugator)
     acting on the p-th basis vector; both coefficient modules go through
-    the same formula because the action of a word is multiplicative.
+    the same formula because the action of a word is multiplicative.  The
+    inverse of u is the inverse of its last letter followed by the inverse
+    of the rest, so the matrix is built by prefix recursion on u itself:
+    conjugators that share a head share its cached matrix, and
+    `_letter_times` reuses the rows a letter leaves alone.  A letter's
+    matrix times its inverse's is the identity, so an unreduced u folds
+    like its reduced word.
+
+    The cache is unbounded, like every cache in the package, and lives for
+    one coefficient module: the keys include `coeff`, so one module's
+    entries never serve another, and the harvest clears it when a module's
+    row collection ends.
     """
-    return word_action(n, coeff, words.inverse(words.reduce_word(u)))
+    if not u:
+        return _eye_small(n)
+    return _letter_times(n, coeff, -u[-1], fold_matrix(n, coeff, u[:-1]))
 
 
 def fold(n: int, u: Word, rid: str, p: int, coeff: str) -> dict[int, int]:
@@ -135,29 +152,29 @@ def relation_from_null(cert: IdentityCertificate, coeff: str) -> list[dict[int, 
 
     Each conjugated-relator factor folds onto its bare relator block with
     the sign of its exponent; the sum over factors vanishes in the true
-    module because the expression expands to the empty word.
+    module because the expression expands to the empty word.  The fold
+    matrices are summed per relator first, with C-level maps over their
+    entries, and each relator's sum is scattered into the rows once.
     """
     if not cert.verified:
         raise ValueError(f"refusing rows from an unverified certificate: {cert.status}")
     expr = cert.rhs
     n = expr.n
+    # relator -> its summed fold matrix, flattened row by row
+    blocks: dict[str, list[int]] = {}
+    zero = [0] * (n * n)
+    for f in expr.factors:
+        blocks[f.relator] = list(map(add if f.exponent == 1 else sub,
+                                     blocks.get(f.relator, zero),
+                                     chain.from_iterable(fold_matrix(n, coeff, f.conj))))
     order = relator_index(n)
     rows: list[dict[int, int]] = [dict() for _ in range(n)]
-    for f in expr.factors:
-        m = fold_matrix(n, coeff, f.conj)
-        base = order[f.relator] * n
-        e = f.exponent
-        for p in range(n):
-            row = rows[p]
-            for i in range(n):
-                v = m[i][p]
-                if v:
-                    key = base + i
-                    nv = row.get(key, 0) + e * v
-                    if nv:
-                        row[key] = nv
-                    else:
-                        del row[key]
+    for rel, acc in blocks.items():
+        base = order[rel] * n
+        for k, v in enumerate(acc):
+            if v:
+                i, p = divmod(k, n)
+                rows[p][base + i] = v
     return rows
 
 
@@ -485,11 +502,12 @@ class ExactEliminator:
         self.pivot_cols: list[int] = []
         self.pivot_rows: list[dict[int, int]] = []
         # heap pops by what they found, pushes skipped as already queued,
-        # merges, and (after finish) the largest entry bit-length over the
-        # pivot and residual rows
+        # merges, the entries those merges added to rows (fill), and (after
+        # finish) the largest entry bit-length over the pivot and residual
+        # rows
         self.stats: dict[str, int] = dict.fromkeys(
             ("dead_row", "column_gone", "ineligible", "score_raised",
-             "score_lowered", "skipped", "retired", "merges", "max_bits"), 0
+             "score_lowered", "skipped", "retired", "merges", "fill", "max_bits"), 0
         )
         self._heap: list[tuple] = []
         self._last: list[tuple | None] = [None] * len(self.rows)
@@ -582,6 +600,7 @@ class ExactEliminator:
                 tgt = rows[rid2]
                 lost, gained = _merge(tgt, piv, c)
                 st["merges"] += 1
+                st["fill"] += len(gained)
                 _normalize_row(tgt)
                 for cc in lost:
                     col_rows[cc].discard(rid2)
@@ -642,10 +661,11 @@ class ModulePresentation:
     residual_divisors: tuple[int, ...]
     manifest: tuple[FamilyReport, ...]
     # not part of any certificate: the eliminator's counters, the seconds
-    # spent collecting, eliminating and auditing rows, and the process's
-    # high-water RSS after collection and after elimination
+    # spent collecting (in all and per family), eliminating and auditing
+    # rows, and the process's high-water RSS after collection and after
+    # elimination
     stats: dict[str, int] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float | dict[str, float]] = field(default_factory=dict)
     peak_rss_kib: dict[str, int] = field(default_factory=dict)
 
     def survivor_indices(self) -> tuple[GenIndex, ...]:
@@ -721,8 +741,9 @@ def _collect_rows(
     coeff: str,
     chosen: Sequence[str],
     progress: Callable[[str], None] | None,
-) -> tuple[RowStore, list[FamilyReport]]:
-    """Fold every certificate of the chosen families into the row store.
+) -> tuple[RowStore, list[FamilyReport], dict[str, float]]:
+    """Fold every certificate of the chosen families into the row store,
+    and time each family's certificates, folds and row checks.
 
     Each new row is checked against the relator columns: a null expression
     is zero in the relation module, so its row must lie in ker(phi).  That
@@ -731,15 +752,17 @@ def _collect_rows(
     zero rows lie in every kernel, so new rows are all that need checking.
 
     Once collection ends, nothing reads the store's dedup index or this
-    module's `word_action` entries again, so both are released.
+    module's `fold_matrix` entries again, so both are released.
     """
     ncols = generator_count_E(n)
     store = RowStore(ncols)
     phi_cols = _phi_columns(n, coeff)
     reports: list[FamilyReport] = []
+    seconds: dict[str, float] = {}
     for tag, name, builder in FAMILIES:
         if tag not in chosen:
             continue
+        t0 = time.perf_counter()
         instances = certified = rows = zeros = news = 0
         for inst, cert in builder(n):
             instances += 1
@@ -762,14 +785,15 @@ def _collect_rows(
         reports.append(
             FamilyReport(tag, name, instances, certified, rows, zeros, news)
         )
+        seconds[tag] = time.perf_counter() - t0
         if progress:
             progress(
                 f"{tag} {name}: {instances} instances, {rows} rows "
-                f"({news} new, {zeros} zero)"
+                f"({news} new, {zeros} zero) in {seconds[tag]:.2f} s"
             )
     store.close()
-    word_action.cache_clear()
-    return store, reports
+    fold_matrix.cache_clear()
+    return store, reports, seconds
 
 
 def harvest(
@@ -785,7 +809,7 @@ def harvest(
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
     t0 = time.perf_counter()
-    store, reports = _collect_rows(n, coeff, chosen, progress)
+    store, reports, family_seconds = _collect_rows(n, coeff, chosen, progress)
     t1 = time.perf_counter()
     rss = {"collect": peak_rss_kib()}
     if progress:
@@ -807,6 +831,7 @@ def harvest(
         "collect": t1 - t0,
         "eliminate": t2 - t1 + time.perf_counter() - t3,
         "audit": t3 - t2,
+        "families": family_seconds,
     }
     return ModulePresentation(
         n=n,
@@ -838,7 +863,7 @@ def modp_scout(n: int, coeff: str, families: Sequence[str] | None = None) -> tup
     assert coeff in COEFF_SPACES, coeff
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
-    store, _ = _collect_rows(n, coeff, chosen, None)
+    store, _, _ = _collect_rows(n, coeff, chosen, None)
     rank = rank_mod_p(_compact_matrix(store.rows, [], ncols), 3)
     return ncols - rank, rank
 

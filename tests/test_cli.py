@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,24 @@ def test_report_hash_matches_benchmark_expectation(capsys, command, n):
     code, out, _ = run_cli(capsys, command, "--n", str(n))
     assert code == want["exit"]
     assert load_report(out)["meta"]["report_hash"] == want["report_hash"]
+
+
+def test_certify_h2_reports_collection_seconds_per_family(capsys):
+    # meta and the progress lines carry per-family seconds; the body and its
+    # hash stay as the benchmark recorded them
+    want = _EXPECTED["certify-h2"]["3"]
+    code, out, err = run_cli(capsys, "certify-h2", "--n", "3")
+    assert code == want["exit"]
+    doc = load_report(out)
+    assert doc["meta"]["report_hash"] == want["report_hash"]
+    for coeff in ("H", "Hdual"):
+        timings = doc["meta"]["timings"][coeff]
+        families = timings["families"]
+        assert list(families) == list(FAMILY_TAGS)
+        assert all(v >= 0 for v in families.values())
+        assert sum(families.values()) <= timings["collect"] + 0.001 * len(families)
+        for tag in FAMILY_TAGS:
+            assert re.search(rf"certify-h2 n=3 {coeff}: {tag} \w+: .* in \d+\.\d\d s$", err, re.M)
 
 
 def test_certify_h2_family_subset_is_reported(capsys):

@@ -20,6 +20,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,6 @@ from autfplus.homology import (
     snf_cached,
     to_L,
     two_adic_split,
-    word_action,
 )
 from autfplus.presentation import GenSym, gen_count, gen_index, reduced_relators
 
@@ -170,6 +170,18 @@ def _matmul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+@lru_cache(maxsize=None)
+def word_action(n, coeff, xw):
+    """Action matrix of pi(xw), by suffix recursion through _letter_times.
+
+    The coefficient action the harvest fold used before `fold_matrix`
+    recursed on the conjugator itself; kept as an oracle for it and for phi.
+    """
+    if not xw:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return _letter_times(n, coeff, xw[0], word_action(n, coeff, xw[1:]))
 
 
 def evaluate_ring_elt(n, coeff, e, action=word_action):

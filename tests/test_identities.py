@@ -13,8 +13,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from autfplus import words
+from autfplus import identities, words
 from autfplus.identities import (
     BASE_CASES,
     SUITE_FAMILIES,
@@ -48,6 +50,7 @@ from autfplus.presentation import (
     twist_xword,
     w_xword,
 )
+from autfplus.reduction import FAMILIES
 from autfplus.words import commutator, inverse, multiply
 
 
@@ -326,11 +329,12 @@ def test_transport_chain_two_pairs():
     n = 4
     V = embed_E(n, 3, 4)
     pairs = ((1, 2), (2, 3))
-    expr = transport_chain(n, pairs, V)
+    expr, word = transport_chain(n, pairs, V)
     u = multiply(w_xword(n, 1, 2), w_xword(n, 2, 3))
     twisted = twist_xword(n, 2, 3, twist_xword(n, 1, 2, V))
     target = multiply(inverse(multiply(inverse(u), V, u)), twisted)
-    assert expr.expand() == target
+    # the composed word is the one the whole expression expands to
+    assert word == expr.expand() == _expand_reference(expr) == target
 
 
 def test_conj_transport_validates_pair():
@@ -402,3 +406,91 @@ def test_expand_matches_a_factorwise_product():
             fs.append(Factor(conj, rng.choice(labels), rng.choice((1, -1))))
         e = RelatorExpression(n, tuple(fs))
         assert e.expand() == words.multiply(*(f.word(n) for f in fs))
+
+
+# -- expansion against the letter-by-letter oracle ------------------------
+# expand() pushes only what differs between consecutive conjugators, and
+# the transport nulls take their residual from words certified piece by
+# piece.  The oracle below pushes every letter of every u, r^{+-1} and u^-1.
+
+
+def _expand_reference(expr):
+    """The full expansion, one letter at a time onto one reduction stack."""
+    table = {rel.label: rel.word for rel in reduced_relators(expr.n)}
+    out = []
+    for f in expr.factors:
+        r = table[f.relator]
+        if f.exponent == -1:
+            r = inverse(r)
+        for s in f.conj + r + inverse(f.conj):
+            if out and out[-1] == -s:
+                out.pop()
+            else:
+                out.append(s)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_expand_matches_the_reference_on_every_harvest_null(n):
+    seen = 0
+    for _, _, builder in FAMILIES:
+        for _, cert in builder(n):
+            full = _expand_reference(cert.rhs)
+            assert cert.rhs.expand() == full
+            # the residual a transport null takes from its pieces is the
+            # full expansion too
+            assert cert.residual == full == ()
+            seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_expand_matches_the_reference_on_every_suite_expression(n):
+    for entry in identity_suite(n):
+        cert = entry.certificate
+        full = _expand_reference(cert.rhs)
+        assert cert.rhs.expand() == full
+        assert cert.residual == multiply(inverse(cert.lhs), full)
+
+
+_LABELS4 = [rel.label for rel in reduced_relators(4)]
+_symbols4 = st.integers(min_value=1, max_value=gen_count(4)).flatmap(
+    lambda s: st.sampled_from((s, -s)))
+_conj_words = st.lists(_symbols4, max_size=6).map(tuple)
+
+
+@st.composite
+def _expressions(draw):
+    """Factors whose conjugators extend a few shared heads, so consecutive
+    conjugators often share a prefix; some are empty, some unreduced."""
+    heads = draw(st.lists(_conj_words, min_size=1, max_size=3))
+    fs = []
+    for _ in range(draw(st.integers(0, 8))):
+        conj = draw(st.sampled_from(heads)) + draw(_conj_words)
+        if draw(st.booleans()):
+            conj = ()
+        fs.append(Factor(conj, draw(st.sampled_from(_LABELS4)), draw(st.sampled_from((1, -1)))))
+    return RelatorExpression(4, tuple(fs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+def test_expand_matches_the_reference_on_generated_expressions(expr):
+    assert expr.expand() == _expand_reference(expr)
+    assert expr.inverse().expand() == inverse(_expand_reference(expr))
+
+
+def test_a_null_with_another_instances_transport_is_not_verified(monkeypatch):
+    # the null residuals trust the transport word they are handed; one taken
+    # from another instance (certified for its own V) must leave a residual
+    n = 4
+    real = identities._transport
+
+    def other(n, a, b, V):
+        return real(n, a, b, words.multiply(V, embed_E(n, 3, 4)))
+
+    monkeypatch.setattr(identities, "_transport", other)
+    for cert in (eq21_null(n, 1, 2, 3, 4, 1), eq41_null(n, 1, 2, 3, 4),
+                 power_split_null(n, 1, 2, 3)):
+        assert not cert.verified
+        assert cert.residual == _expand_reference(cert.rhs) != ()

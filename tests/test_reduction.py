@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import pytest
 
-from autfplus import reduction
-from autfplus import homology
+from autfplus import reduction, words
 from autfplus.homology import (
     ConsistencyError,
     IntMatrix,
@@ -29,7 +28,7 @@ from autfplus.homology import (
     two_adic_split,
 )
 from autfplus.identities import Factor, RelatorExpression, canon_h, certify
-from autfplus.presentation import embed_E, h_xword, relator_index
+from autfplus.presentation import embed_E, gen_count, h_xword, relator_index
 from autfplus.reduction import (
     FAMILY_TAGS,
     ExactEliminator,
@@ -48,6 +47,7 @@ from autfplus.reduction import (
     _resolve_families,
     flat_index,
     fold,
+    fold_matrix,
     generator_count_E,
     harvest,
     modp_scout,
@@ -56,6 +56,7 @@ from autfplus.reduction import (
     survivor_summary,
     unflatten,
 )
+from test_homology import word_action
 
 # -- generator indexing -------------------------------------------------
 
@@ -120,6 +121,59 @@ def test_relation_rows_single_factor_match_fold():
     rows = relation_from_null(cert, "H")
     for p in range(1, n + 1):
         assert rows[p - 1] == fold(n, u, "R4-1(1,2)", p, "H")
+
+
+def _fold_reference(cert, coeff):
+    """relation_from_null as it was: each factor's n x n fold matrix,
+    through the word_action oracle, added into the rows entry by entry."""
+    n = cert.rhs.n
+    order = relator_index(n)
+    rows = [dict() for _ in range(n)]
+    for f in cert.rhs.factors:
+        m = word_action(n, coeff, words.inverse(words.reduce_word(f.conj)))
+        base = order[f.relator] * n
+        for p in range(n):
+            row = rows[p]
+            for i in range(n):
+                v = m[i][p]
+                if v:
+                    key = base + i
+                    nv = row.get(key, 0) + f.exponent * v
+                    if nv:
+                        row[key] = nv
+                    else:
+                        del row[key]
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_relation_rows_match_the_per_factor_fold(n, coeff):
+    # every certificate of every family, row for row
+    count = 0
+    for _, _, builder in reduction.FAMILIES:
+        for _, cert in builder(n):
+            assert relation_from_null(cert, coeff) == _fold_reference(cert, coeff)
+            count += 1
+    assert count
+
+
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_fold_matrix_of_an_unreduced_word_is_that_of_its_reduction(coeff):
+    n = 4
+    rng = random.Random(41)
+    X = gen_count(n)
+    for _ in range(200):
+        u = [rng.choice((1, -1)) * rng.randint(1, X) for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(1, 3)):  # insert cancelling pairs
+            s = rng.choice((1, -1)) * rng.randint(1, X)
+            at = rng.randint(0, len(u))
+            u[at:at] = [s, -s]
+        u = tuple(u)
+        assert u != words.reduce_word(u)
+        m = fold_matrix(n, coeff, u)
+        assert m == fold_matrix(n, coeff, words.reduce_word(u))
+        assert m == word_action(n, coeff, words.inverse(words.reduce_word(u)))
 
 
 # -- row store ----------------------------------------------------------
@@ -420,7 +474,7 @@ PIVOT_FINGERPRINTS = {
 
 @lru_cache(maxsize=None)
 def _full_elimination(n: int, coeff: str):
-    store, _ = _collect_rows(n, coeff, FAMILY_TAGS, None)
+    store, _, _ = _collect_rows(n, coeff, FAMILY_TAGS, None)
     elim = ExactEliminator(n, generator_count_E(n), store.rows)
     _, residual = elim.finish()
     return elim, residual
@@ -445,12 +499,12 @@ ELIMINATOR_STATS = {
     "H": {
         "dead_row": 33136, "column_gone": 16211, "ineligible": 31,
         "score_raised": 7426, "score_lowered": 5, "skipped": 27514,
-        "retired": 1108, "merges": 60799, "max_bits": 3,
+        "retired": 1108, "merges": 60799, "fill": 61415, "max_bits": 3,
     },
     "Hdual": {
         "dead_row": 31724, "column_gone": 17606, "ineligible": 16,
         "score_raised": 4353, "score_lowered": 46, "skipped": 23194,
-        "retired": 1109, "merges": 56355, "max_bits": 5,
+        "retired": 1109, "merges": 56355, "fill": 51289, "max_bits": 5,
     },
 }
 
@@ -498,7 +552,9 @@ def test_harvest_rank3_values(harvest3H):
     assert pres.residual_rows == 0 and pres.residual_divisors == ()
     assert pres.pivot_count + len(pres.survivors) == pres.generator_count
     assert pres.stats["retired"] == pres.pivot_count
-    assert set(pres.timings) == {"collect", "eliminate", "audit"}
+    assert set(pres.timings) == {"collect", "eliminate", "audit", "families"}
+    assert list(pres.timings["families"]) == list(FAMILY_TAGS)
+    assert sum(pres.timings["families"].values()) <= pres.timings["collect"]
     assert 0 < pres.peak_rss_kib["collect"] <= pres.peak_rss_kib["eliminate"]
     # the 5-letter transport family has no admissible tuples at rank 3;
     # the bound is honest but cannot reach the kernel rank (33)
@@ -548,7 +604,7 @@ def test_modp_scout_is_a_lower_bound(harvest3H):
     assert bound_p <= harvest3H.bound
     assert bound_p + rank_p == harvest3H.generator_count
     # the scout's kernel against the dense mod-3 rank of the same rows
-    store, _ = _collect_rows(3, "H", FAMILY_TAGS, None)
+    store, _, _ = _collect_rows(3, "H", FAMILY_TAGS, None)
     assert rank_p == rank_mod_p(_compact_matrix(store.rows, [], store.ncols), 3)
     thin_bound, _ = modp_scout(3, "H", families=("F1",))
     assert thin_bound <= harvest(3, "H", families=("F1",)).bound
@@ -593,12 +649,12 @@ def test_harvest_rejects_rows_outside_ker_phi(monkeypatch):
 
 def test_harvest_releases_the_fold_cache_and_the_dedup_index():
     fold(3, embed_E(3, 1, 2), "R4-1(1,2)", 1, "H")
-    assert homology.word_action.cache_info().currsize > 0
+    assert fold_matrix.cache_info().currsize > 0
     harvest(3, "H")
-    assert homology.word_action.cache_info().currsize == 0
-    store, _ = _collect_rows(3, "Hdual", FAMILY_TAGS, None)
+    assert fold_matrix.cache_info().currsize == 0
+    store, _, _ = _collect_rows(3, "Hdual", FAMILY_TAGS, None)
     assert store._index is None and store.rows
-    assert homology.word_action.cache_info().currsize == 0
+    assert fold_matrix.cache_info().currsize == 0
 
 
 # -- the elimination audit ---------------------------------------------
