@@ -276,76 +276,87 @@ def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:
 # -- certify-h2 --------------------------------------------------------
 
 
+def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
+    """Harvest, homology and H2 certificate of one coefficient module.
+
+    Returns the module's report block, its timings and whether its bound is
+    certified.  The presentation, five-term data and certificate end with
+    this call, so the next module's harvest starts without them.
+    """
+    prefix = f"certify-h2 n={cfg.n} {coeff}"
+    t0 = time.monotonic()
+    pres = harvest(
+        cfg.n,
+        coeff,
+        families=cfg.family_tags,
+        progress=lambda msg: print(f"{prefix}: {msg}", file=sys.stderr),
+    )
+    t1 = time.monotonic()
+    if cfg.cache_dir:
+        _atomic_write_text(
+            os.path.join(cfg.cache_dir, f"relations-n{cfg.n}-{coeff}.mat"),
+            pres.matrix.dump(),
+        )
+    data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
+    if data.image_rank > pres.bound:
+        raise ConsistencyError(
+            f"harvest bound {pres.bound} below the image L-rank "
+            f"{data.image_rank}: a certified relation row must be wrong"
+        )
+    cert = h2_certificate(cfg.n, coeff, pres.bound, data=data)
+    t2 = time.monotonic()
+    result = {
+        "homology": _homology_block(data),
+        "harvest": {
+            "families": cfg.family_tags if cfg.family_tags is not None else list(FAMILY_TAGS),
+            "generators": pres.generator_count,
+            "matrix": {
+                "rows": pres.matrix.nrows,
+                "cols": pres.matrix.ncols,
+                "nnz": pres.matrix.nnz(),
+            },
+            "pivots": pres.pivot_count,
+            "residual_rows": pres.residual_rows,
+            "residual_divisors": _profile_list(pres.residual_divisors),
+            "bound": pres.bound,
+            "module": pres.module.describe(),
+            "survivors": len(pres.survivors),
+            "survivor_summary": survivor_summary(pres.survivor_indices()),
+            "manifest": [asdict(rep) for rep in pres.manifest],
+        },
+        "certificate": {
+            "ok": cert.ok,
+            "reason": cert.reason,
+            "bound": cert.bound,
+            "argument": cert.argument,
+            "transfer": cert.transfer_remark,
+        },
+    }
+    timings = {
+        "harvest": round(t1 - t0, 3),
+        **_rounded(pres.timings),
+        "homology_and_certificate": round(t2 - t1, 3),
+        "five_term": _rounded(data.timings),
+        "eliminator": pres.stats,
+        "peak_rss_kib": pres.peak_rss_kib,
+    }
+    print(
+        f"{prefix}: bound {pres.bound}, "
+        f"image rank {data.image_rank} -> "
+        + ("certified" if cert.ok else f"NOT certified ({cert.reason})"),
+        file=sys.stderr,
+    )
+    return result, timings, cert.ok
+
+
 def cmd_certify_h2(cfg: RunConfig) -> tuple[int, dict, dict]:
     results: dict = {}
     timings: dict = {}
     worst = EXIT_OK
     for coeff in cfg.coeffs:
-        prefix = f"certify-h2 n={cfg.n} {coeff}"
-        t0 = time.monotonic()
-        pres = harvest(
-            cfg.n,
-            coeff,
-            families=cfg.family_tags,
-            progress=lambda msg: print(f"{prefix}: {msg}", file=sys.stderr),
-        )
-        t1 = time.monotonic()
-        if cfg.cache_dir:
-            _atomic_write_text(
-                os.path.join(cfg.cache_dir, f"relations-n{cfg.n}-{coeff}.mat"),
-                pres.matrix.dump(),
-            )
-        data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
-        if data.image_rank > pres.bound:
-            raise ConsistencyError(
-                f"harvest bound {pres.bound} below the image L-rank "
-                f"{data.image_rank}: a certified relation row must be wrong"
-            )
-        cert = h2_certificate(cfg.n, coeff, pres.bound, data=data)
-        t2 = time.monotonic()
-        results[coeff] = {
-            "homology": _homology_block(data),
-            "harvest": {
-                "families": cfg.family_tags if cfg.family_tags is not None else list(FAMILY_TAGS),
-                "generators": pres.generator_count,
-                "matrix": {
-                    "rows": pres.matrix.nrows,
-                    "cols": pres.matrix.ncols,
-                    "nnz": pres.matrix.nnz(),
-                },
-                "pivots": pres.pivot_count,
-                "residual_rows": pres.residual_rows,
-                "residual_divisors": _profile_list(pres.residual_divisors),
-                "bound": pres.bound,
-                "module": pres.module.describe(),
-                "survivors": len(pres.survivors),
-                "survivor_summary": survivor_summary(pres.survivor_indices()),
-                "manifest": [asdict(rep) for rep in pres.manifest],
-            },
-            "certificate": {
-                "ok": cert.ok,
-                "reason": cert.reason,
-                "bound": cert.bound,
-                "argument": cert.argument,
-                "transfer": cert.transfer_remark,
-            },
-        }
-        timings[coeff] = {
-            "harvest": round(t1 - t0, 3),
-            **_rounded(pres.timings),
-            "homology_and_certificate": round(t2 - t1, 3),
-            "five_term": _rounded(data.timings),
-            "eliminator": pres.stats,
-            "peak_rss_kib": pres.peak_rss_kib,
-        }
-        if not cert.ok:
+        results[coeff], timings[coeff], ok = _certify_module(cfg, coeff)
+        if not ok:
             worst = max(worst, EXIT_BOUND)
-        print(
-            f"{prefix}: bound {pres.bound}, "
-            f"image rank {data.image_rank} -> "
-            + ("certified" if cert.ok else f"NOT certified ({cert.reason})"),
-            file=sys.stderr,
-        )
     body = {"command": "certify-h2", "n": cfg.n, "results": results}
     return worst, body, timings
 

@@ -132,13 +132,13 @@ class RelatorExpression:
 
     def __mul__(self, other: "RelatorExpression") -> "RelatorExpression":
         assert self.n == other.n
-        return RelatorExpression(self.n, self.factors + other.factors)
+        return _of_checked(self.n, self.factors + other.factors)
 
     def inverse(self) -> "RelatorExpression":
-        return RelatorExpression(self.n, _inv_factors(self.factors))
+        return _of_checked(self.n, _inv_factors(self.factors))
 
     def conjugated(self, u: Word) -> "RelatorExpression":
-        return RelatorExpression(self.n, _conj_factors(self.factors, u))
+        return _of_checked(self.n, _conj_factors(self.factors, u))
 
     def expand(self) -> Word:
         # Consecutive factors u r u^-1 and v s v^-1 meet as u^-1 v, so only
@@ -169,6 +169,16 @@ class RelatorExpression:
             else:
                 push(s)
         return tuple(out)
+
+
+def _of_checked(n: int, factors: tuple) -> RelatorExpression:
+    """An expression over factors that validated expressions of rank n
+    already hold, conjugated or inverted at most, built without checking
+    them again: neither move changes a label, and both keep exponents +-1."""
+    expr = object.__new__(RelatorExpression)
+    object.__setattr__(expr, "n", n)
+    object.__setattr__(expr, "factors", factors)
+    return expr
 
 
 @dataclass(frozen=True)
@@ -485,9 +495,11 @@ def _expanded(expr: RelatorExpression) -> tuple[RelatorExpression, Word]:
 
 def _null_certificate(
         *pieces: tuple[RelatorExpression, Word]) -> IdentityCertificate:
-    """certify((), product of the pieces), given each piece with its word."""
-    null = RelatorExpression(
-        pieces[0][0].n, tuple(chain.from_iterable(e.factors for e, _ in pieces)))
+    """certify((), product of the pieces), given each piece with its word.
+    Each piece validated its factors when it was built."""
+    n = pieces[0][0].n
+    assert all(e.n == n for e, _ in pieces)
+    null = _of_checked(n, tuple(chain.from_iterable(e.factors for e, _ in pieces)))
     return IdentityCertificate((), null, words.multiply(*(w for _, w in pieces)))
 
 

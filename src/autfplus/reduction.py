@@ -42,7 +42,6 @@ from .homology import (
     column_echelon,
     is_unit_in_L,
     phi_matrix,
-    rank_mod_p,
     snf,
     two_adic_split,
 )
@@ -115,8 +114,7 @@ def _family_rank_by_col(n: int) -> tuple:
 # -- folding -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def fold_matrix(n: int, coeff: str, u: Word) -> SmallMatrix:
+def fold_matrix(n: int, coeff: str, u: Word, memo: dict[Word, SmallMatrix]) -> SmallMatrix:
     """Coefficient matrix folding (u r u^-1) tensor m down to r tensor m'.
 
     Column p is the vector of (the inverse of the evaluated conjugator)
@@ -124,30 +122,33 @@ def fold_matrix(n: int, coeff: str, u: Word) -> SmallMatrix:
     the same formula because the action of a word is multiplicative.  The
     inverse of u is the inverse of its last letter followed by the inverse
     of the rest, so the matrix is built by prefix recursion on u itself:
-    conjugators that share a head share its cached matrix, and
-    `_letter_times` reuses the rows a letter leaves alone.  A letter's
-    matrix times its inverse's is the identity, so an unreduced u folds
-    like its reduced word.
+    conjugators that share a head share its matrix in `memo`, which maps
+    every prefix built so far to its matrix, and `_letter_times` reuses the
+    rows a letter leaves alone.  A letter's matrix times its inverse's is
+    the identity, so an unreduced u folds like its reduced word.
 
-    The cache is unbounded, like every cache in the package, and lives for
-    one coefficient module: the keys include `coeff`, so one module's
-    entries never serve another, and the harvest clears it when a module's
-    row collection ends.
+    The harvest keeps one memo per family, so no matrix outlives the
+    family it was built for.  Reuse across families is nil, as each family
+    conjugates by words of its own shape: one memo per family builds 2 to
+    3% more matrices than one for the whole module.  Inside a family it is
+    large: a certificate's factors share long heads (a transport conjugates
+    each of its base cases by w^-1 (suffix)^-1 w), and consecutive
+    certificates share more, so a memo per certificate builds 1.4 to 1.9
+    times as many matrices and takes 1 to 2 s more per module at n = 6.
     """
-    if not u:
-        return _eye_small(n)
-    return _letter_times(n, coeff, -u[-1], fold_matrix(n, coeff, u[:-1]))
+    m = memo.get(u)
+    if m is None:
+        if u:
+            m = _letter_times(n, coeff, -u[-1], fold_matrix(n, coeff, u[:-1], memo))
+        else:
+            m = _eye_small(n)
+        memo[u] = m
+    return m
 
 
-def fold(n: int, u: Word, rid: str, p: int, coeff: str) -> dict[int, int]:
-    """Sparse row of (u r u^-1) tensor e_p on the generating set, as a dict
-    keyed by flat generator index."""
-    m = fold_matrix(n, coeff, u)
-    base = relator_index(n)[rid] * n
-    return {base + i: m[i][p - 1] for i in range(n) if m[i][p - 1]}
-
-
-def relation_from_null(cert: IdentityCertificate, coeff: str) -> list[dict[int, int]]:
+def relation_from_null(
+    cert: IdentityCertificate, coeff: str, memo: dict[Word, SmallMatrix]
+) -> list[dict[int, int]]:
     """One integer relation row per basis vector from a verified null.
 
     Each conjugated-relator factor folds onto its bare relator block with
@@ -155,6 +156,7 @@ def relation_from_null(cert: IdentityCertificate, coeff: str) -> list[dict[int, 
     module because the expression expands to the empty word.  The fold
     matrices are summed per relator first, with C-level maps over their
     entries, and each relator's sum is scattered into the rows once.
+    `memo` is the prefix memo of `fold_matrix`, kept by the caller.
     """
     if not cert.verified:
         raise ValueError(f"refusing rows from an unverified certificate: {cert.status}")
@@ -166,7 +168,7 @@ def relation_from_null(cert: IdentityCertificate, coeff: str) -> list[dict[int, 
     for f in expr.factors:
         blocks[f.relator] = list(map(add if f.exponent == 1 else sub,
                                      blocks.get(f.relator, zero),
-                                     chain.from_iterable(fold_matrix(n, coeff, f.conj))))
+                                     chain.from_iterable(fold_matrix(n, coeff, f.conj, memo))))
     order = relator_index(n)
     rows: list[dict[int, int]] = [dict() for _ in range(n)]
     for rel, acc in blocks.items():
@@ -464,7 +466,9 @@ def _merge(row: dict[int, int], piv: dict[int, int], c: int) -> tuple[list[int],
 class ExactEliminator:
     """Exact unit-pivot elimination over L with fill-minimizing pivoting.
 
-    Works on the full collected row set.  Each step retires one row on a
+    Owns the row list it is given and works on it in place, with no copy:
+    rows are merged and normalised where they are, and the slot of a
+    retired or emptied row becomes None.  Each step retires one row on a
     +-2^k entry chosen to minimize the classical fill estimate
     (row length - 1) * (column occupancy - 1), then clears that column
     from every remaining row.  Retired rows only mention columns still
@@ -494,7 +498,7 @@ class ExactEliminator:
         self.n = n
         self.ncols = ncols
         self.fam_rank = _family_rank_by_col(n)
-        self.rows: list[dict[int, int] | None] = [dict(r) for r in rows]
+        self.rows: list[dict[int, int] | None] = rows
         self.col_rows: list[set[int]] = [set() for _ in range(ncols)]
         for rid, row in enumerate(self.rows):
             for c in row:
@@ -751,8 +755,9 @@ def _collect_rows(
     certificate.  Duplicates differ from a checked row by a power of 2 and
     zero rows lie in every kernel, so new rows are all that need checking.
 
-    Once collection ends, nothing reads the store's dedup index or this
-    module's `fold_matrix` entries again, so both are released.
+    Each family folds through a prefix memo of its own (see
+    `fold_matrix`), dropped when the family ends.  Once collection ends,
+    nothing reads the store's dedup index again, so it is released.
     """
     ncols = generator_count_E(n)
     store = RowStore(ncols)
@@ -764,6 +769,7 @@ def _collect_rows(
             continue
         t0 = time.perf_counter()
         instances = certified = rows = zeros = news = 0
+        memo: dict[Word, SmallMatrix] = {}
         for inst, cert in builder(n):
             instances += 1
             if not cert.verified:
@@ -771,7 +777,7 @@ def _collect_rows(
                     f"{tag}/{name} instance {inst}: certificate failed ({cert.status})"
                 )
             certified += 1
-            for row in relation_from_null(cert, coeff):
+            for row in relation_from_null(cert, coeff, memo):
                 rows += 1
                 res = store.add_row(row)
                 if res == "zero":
@@ -792,7 +798,6 @@ def _collect_rows(
                 f"({news} new, {zeros} zero) in {seconds[tag]:.2f} s"
             )
     store.close()
-    fold_matrix.cache_clear()
     return store, reports, seconds
 
 
@@ -814,6 +819,7 @@ def harvest(
     rss = {"collect": peak_rss_kib()}
     if progress:
         progress(f"collected {len(store.rows)} unique rows; eliminating")
+    # the eliminator takes the store's rows over and works on them in place
     elim = ExactEliminator(n, ncols, store.rows)
     survivors, residual_rows = elim.finish()
     rss["eliminate"] = peak_rss_kib()
@@ -849,23 +855,6 @@ def harvest(
         timings=timings,
         peak_rss_kib=rss,
     )
-
-
-def modp_scout(n: int, coeff: str, families: Sequence[str] | None = None) -> tuple[int, int]:
-    """Fast lower reconnaissance of the bound: (generators - rank mod p).
-
-    Reducing mod an odd prime can only keep MORE divisors invertible than
-    L does, so this value is a lower bound for the exact generator bound
-    the elimination over L certifies -- it tells family engineering when
-    the harvested rows cannot possibly reach the target, at a fraction of
-    the exact cost.  Returns (bound_mod_p, rank_mod_p).
-    """
-    assert coeff in COEFF_SPACES, coeff
-    chosen = _resolve_families(families)
-    ncols = generator_count_E(n)
-    store, _, _ = _collect_rows(n, coeff, chosen, None)
-    rank = rank_mod_p(_compact_matrix(store.rows, [], ncols), 3)
-    return ncols - rank, rank
 
 
 def _account(

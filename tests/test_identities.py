@@ -494,3 +494,39 @@ def test_a_null_with_another_instances_transport_is_not_verified(monkeypatch):
                  power_split_null(n, 1, 2, 3)):
         assert not cert.verified
         assert cert.residual == _expand_reference(cert.rhs) != ()
+
+
+_BAD_FACTORS = (Factor((), "R9-9(1,2)", 1), Factor((), "R4-1(1,2)", 2))
+
+
+@pytest.mark.parametrize("bad", _BAD_FACTORS, ids=("label", "exponent"))
+@pytest.mark.parametrize("source, build", [
+    ("canon_r", lambda: eq21_null(4, 1, 2, 3, 4, 1)),
+    ("base_case", lambda: eq21_null(4, 1, 2, 3, 4, 1)),
+    ("canon_h", lambda: eq41_null(4, 1, 2, 3, 4)),
+    ("base_case", lambda: eq41_null(4, 1, 2, 3, 4)),
+    ("base_case", lambda: power_split_null(4, 1, 2, 3)),
+], ids=("eq21-canon_r", "eq21-base_case", "eq41-canon_h", "eq41-base_case",
+        "power_split-base_case"))
+def test_a_bad_factor_in_any_null_piece_raises(monkeypatch, source, build, bad):
+    # a null, and a transport chain, join pieces whose factors were checked
+    # when each piece was built, and do not check them again; so a bad label
+    # or exponent slipped into the factors behind any one piece must still
+    # raise as that piece is built
+    real = getattr(identities, source)
+    assert build().verified  # warm the caches, so every build makes the same calls
+    calls = []
+    monkeypatch.setattr(identities, source, lambda *a: (calls.append(a), real(*a))[1])
+    build()
+    assert calls
+    for k in range(len(calls)):
+        seen = []
+
+        def spoiled(*args, k=k):
+            seen.append(args)
+            fs = real(*args)
+            return fs[:1] + (bad,) + fs[1:] if len(seen) == k + 1 else fs
+
+        monkeypatch.setattr(identities, source, spoiled)
+        with pytest.raises(ValueError, match="exponent must be|unknown relator label"):
+            build()

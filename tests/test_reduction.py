@@ -28,6 +28,7 @@ from autfplus.homology import (
     two_adic_split,
 )
 from autfplus.identities import Factor, RelatorExpression, canon_h, certify
+from autfplus.nielsen import COEFF_SPACES
 from autfplus.presentation import embed_E, gen_count, h_xword, relator_index
 from autfplus.reduction import (
     FAMILY_TAGS,
@@ -46,11 +47,9 @@ from autfplus.reduction import (
     _normalize_row,
     _resolve_families,
     flat_index,
-    fold,
     fold_matrix,
     generator_count_E,
     harvest,
-    modp_scout,
     relation_from_null,
     survivor_basis,
     survivor_summary,
@@ -81,6 +80,14 @@ def test_flat_index_bijection():
 # slot; the dual action moves the target slot with a sign.
 
 
+def fold(n, u, rid, p, coeff):
+    """Sparse row of (u r u^-1) tensor e_p on the generating set, as a dict
+    keyed by flat generator index."""
+    m = fold_matrix(n, coeff, u, {})
+    base = relator_index(n)[rid] * n
+    return {base + i: m[i][p - 1] for i in range(n) if m[i][p - 1]}
+
+
 def test_fold_closed_forms():
     n = 4
     u = embed_E(n, 1, 2)
@@ -99,7 +106,7 @@ def test_relation_rows_from_trivial_null_are_zero():
     cert = certify((), RelatorExpression(n, (f, f.inverse())))
     assert cert.verified
     for coeff in ("H", "Hdual"):
-        rows = relation_from_null(cert, coeff)
+        rows = relation_from_null(cert, coeff, {})
         assert len(rows) == n and all(row == {} for row in rows)
 
 
@@ -108,7 +115,7 @@ def test_relation_rows_reject_unverified_certificates():
     cert = certify(h_xword(n, 1, 3), RelatorExpression(n, canon_h(n, 1, 2)))
     assert not cert.verified
     with pytest.raises(ValueError):
-        relation_from_null(cert, "H")
+        relation_from_null(cert, "H", {})
 
 
 def test_relation_rows_single_factor_match_fold():
@@ -118,7 +125,7 @@ def test_relation_rows_single_factor_match_fold():
         RelatorExpression(n, (Factor(u, "R4-1(1,2)", 1),)).expand(),
         RelatorExpression(n, (Factor(u, "R4-1(1,2)", 1),)),
     )
-    rows = relation_from_null(cert, "H")
+    rows = relation_from_null(cert, "H", {})
     for p in range(1, n + 1):
         assert rows[p - 1] == fold(n, u, "R4-1(1,2)", p, "H")
 
@@ -149,11 +156,13 @@ def _fold_reference(cert, coeff):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("coeff", ["H", "Hdual"])
 def test_relation_rows_match_the_per_factor_fold(n, coeff):
-    # every certificate of every family, row for row
+    # every certificate of every family, row for row, through one fold memo
+    # per family as the harvest keeps it
     count = 0
     for _, _, builder in reduction.FAMILIES:
+        memo = {}
         for _, cert in builder(n):
-            assert relation_from_null(cert, coeff) == _fold_reference(cert, coeff)
+            assert relation_from_null(cert, coeff, memo) == _fold_reference(cert, coeff)
             count += 1
     assert count
 
@@ -171,8 +180,8 @@ def test_fold_matrix_of_an_unreduced_word_is_that_of_its_reduction(coeff):
             u[at:at] = [s, -s]
         u = tuple(u)
         assert u != words.reduce_word(u)
-        m = fold_matrix(n, coeff, u)
-        assert m == fold_matrix(n, coeff, words.reduce_word(u))
+        m = fold_matrix(n, coeff, u, {})
+        assert m == fold_matrix(n, coeff, words.reduce_word(u), {})
         assert m == word_action(n, coeff, words.inverse(words.reduce_word(u)))
 
 
@@ -439,9 +448,10 @@ def _order_cases():
 def test_eliminator_keeps_the_reference_pivot_order():
     ran = dict.fromkeys(_POPS, 0)
     for ncols, rows in _order_cases():
-        ref = _ReferenceEliminator(3, ncols, rows)
+        # each eliminator works on its rows in place, so each gets a copy
+        ref = _ReferenceEliminator(3, ncols, [dict(r) for r in rows])
         ref_survivors, ref_residual = ref.finish()
-        elim = ExactEliminator(3, ncols, rows)
+        elim = ExactEliminator(3, ncols, [dict(r) for r in rows])
         survivors, residual = elim.finish()
         assert elim.pivot_cols == ref.pivot_cols
         assert elim.pivot_rows == ref.pivot_rows
@@ -454,6 +464,23 @@ def test_eliminator_keeps_the_reference_pivot_order():
             ran[name] += elim.stats[name]
         assert ref.stats["skipped"] == 0
     assert all(ran.values()), ran
+
+
+def test_eliminator_works_on_the_list_it_is_given():
+    rows = [dict(r) for r in _REQUEUED_KEY[1]]
+    given = list(rows)
+    elim = ExactEliminator(3, _REQUEUED_KEY[0], rows)
+    assert elim.rows is rows
+    _, residual = elim.finish()
+    assert len(rows) == len(given)
+    # pivot and residual rows are the given dicts, merged where they are;
+    # a retired row's slot is cleared and a residual row keeps its own
+    ids = {id(r): rid for rid, r in enumerate(given)}
+    assert elim.pivot_rows and residual
+    for row in elim.pivot_rows:
+        assert rows[ids[id(row)]] is None
+    for row in residual:
+        assert rows[ids[id(row)]] is row
 
 
 # -- the full elimination at small rank ---------------------------------
@@ -599,6 +626,21 @@ def test_family_subset_only_weakens_the_bound(harvest3H):
     assert harvest3H.bound >= boundary_rank
 
 
+def modp_scout(n, coeff, families=None):
+    """Fast lower reconnaissance of the bound: (generators - rank mod p).
+
+    Reducing mod an odd prime can only keep MORE divisors invertible than
+    L does, so this value is a lower bound for the exact generator bound
+    the elimination over L certifies.  Returns (bound_mod_p, rank_mod_p).
+    """
+    assert coeff in COEFF_SPACES, coeff
+    chosen = _resolve_families(families)
+    ncols = generator_count_E(n)
+    store, _, _ = _collect_rows(n, coeff, chosen, None)
+    rank = rank_mod_p(_compact_matrix(store.rows, [], ncols), 3)
+    return ncols - rank, rank
+
+
 def test_modp_scout_is_a_lower_bound(harvest3H):
     bound_p, rank_p = modp_scout(3, "H")
     assert bound_p <= harvest3H.bound
@@ -632,8 +674,8 @@ def test_harvest_rejects_rows_outside_ker_phi(monkeypatch):
     real = reduction.relation_from_null
     calls = []
 
-    def corrupted(cert, coeff):
-        rows = real(cert, coeff)
+    def corrupted(cert, coeff, memo):
+        rows = real(cert, coeff, memo)
         if not calls:
             row = rows[0]
             row[g] = row.get(g, 0) + 1
@@ -647,14 +689,32 @@ def test_harvest_rejects_rows_outside_ker_phi(monkeypatch):
         harvest(3, "H")
 
 
-def test_harvest_releases_the_fold_cache_and_the_dedup_index():
-    fold(3, embed_E(3, 1, 2), "R4-1(1,2)", 1, "H")
-    assert fold_matrix.cache_info().currsize > 0
-    harvest(3, "H")
-    assert fold_matrix.cache_info().currsize == 0
+def test_harvest_keeps_one_fold_memo_per_family_and_releases_the_dedup_index(monkeypatch):
+    # every fold of a family goes through one memo of its own, and the memo
+    # ends up holding exactly the prefixes of that family's conjugators:
+    # nothing from another family or module
+    real_rows = reduction.relation_from_null
+    folds = []  # (certificate, the memo its folds went through)
+
+    def spied_rows(cert, coeff, memo):
+        folds.append((cert, memo))
+        return real_rows(cert, coeff, memo)
+
+    monkeypatch.setattr(reduction, "relation_from_null", spied_rows)
+    pres = harvest(3, "H")
+    assert len(folds) == sum(rep.certified for rep in pres.manifest)
+    by_memo = {}
+    for cert, memo in folds:
+        by_memo.setdefault(id(memo), (memo, []))[1].append(cert)
+    families = [rep for rep in pres.manifest if rep.certified]
+    assert [len(certs) for _, certs in by_memo.values()] == [rep.certified for rep in families]
+    for memo, certs in by_memo.values():
+        prefixes = {
+            f.conj[:t] for cert in certs for f in cert.rhs.factors for t in range(len(f.conj) + 1)
+        }
+        assert set(memo) == prefixes
     store, _, _ = _collect_rows(3, "Hdual", FAMILY_TAGS, None)
     assert store._index is None and store.rows
-    assert fold_matrix.cache_info().currsize == 0
 
 
 # -- the elimination audit ---------------------------------------------
