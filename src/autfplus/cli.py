@@ -321,7 +321,7 @@ def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
             "bound": pres.bound,
             "module": pres.module.describe(),
             "survivors": len(pres.survivors),
-            "survivor_summary": survivor_summary(pres.survivor_indices()),
+            "survivor_summary": survivor_summary(cfg.n, pres.survivors),
             "manifest": [asdict(rep) for rep in pres.manifest],
         },
         "certificate": {

@@ -27,12 +27,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import presentation, words
 from .nielsen import COEFF_SPACES, H, induced_matrix
-from .presentation import GenSym, gen_count, gen_index, reduced_relators, symbol_aut
+from .presentation import gen_count, reduced_relators, symbol_aut
 from .words import Word
 
 
@@ -130,21 +129,13 @@ class GroupRingElt:
         return "GroupRingElt(" + " + ".join(parts) + ")"
 
 
-def _symbol_index(x: "GenSym | int", n: int | None) -> int:
-    if isinstance(x, GenSym):
-        assert n is not None, "rank n is required to index a GenSym"
-        return gen_index(n, x.i, x.eps, x.j)
-    assert isinstance(x, int) and x > 0
-    return x
-
-
-def fox_derivative(w: Word, x: "GenSym | int", n: int | None = None) -> GroupRingElt:
+def fox_derivative(w: Word, s: int) -> GroupRingElt:
     """Left free derivative d/dx: d(x)=1, d(x^-1)=-x^-1, d(uv)=du + u.dv.
 
-    x may be a positive alphabet index or a GenSym (pass n for the latter).
-    Satisfies the fundamental identity sum_x (dw/dx).(x - 1) = w - 1.
+    The symbol x is given by its positive alphabet index s.  Satisfies the
+    fundamental identity sum_x (dw/dx).(x - 1) = w - 1.
     """
-    s = _symbol_index(x, n)
+    assert isinstance(s, int) and s > 0
     acc: dict[Word, int] = {}
     for t, y in enumerate(w):
         if y == s:
@@ -261,23 +252,6 @@ class IntMatrix:
     def content_hash(self) -> str:
         return hashlib.sha256(self.dump().encode()).hexdigest()
 
-    def to_dense(self) -> list[list[int]]:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
-        nr = len(rows)
-        nc = ncols if ncols is not None else (len(rows[0]) if nr else 0)
-        out = cls(nr, nc)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    out.data[(i, j)] = v
-        return out
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         assert self.ncols == other.nrows
         by_row: dict[int, list[tuple[int, int]]] = {}
@@ -293,9 +267,6 @@ class IntMatrix:
                 elif key in acc:
                     del acc[key]
         return IntMatrix(self.nrows, other.ncols, acc)
-
-    def column(self, j: int) -> list[tuple[int, int]]:
-        return sorted((i, v) for (i, jj), v in self.data.items() if jj == j)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -636,10 +607,6 @@ def two_adic_split(d: int) -> tuple[int, int]:
     return k, d >> k
 
 
-def is_unit_in_L(d: int) -> bool:
-    return d != 0 and two_adic_split(abs(d))[1] == 1
-
-
 @dataclass(frozen=True)
 class LModule:
     """Finitely generated module over Z[1/2]: free rank plus odd torsion."""
@@ -674,12 +641,6 @@ def _lmodule_from_cokernel(ambient_rank: int, divisors: Sequence[int]) -> LModul
         if odd != 1:
             tors.append(odd)
     return LModule(free_rank=ambient_rank - len(nonzero), torsion=tuple(tors))
-
-
-def to_L(s: SNFResult) -> LModule:
-    """Cokernel of the factored matrix, read over L: 2-power divisors are
-    units and disappear, the rest keep their odd parts."""
-    return _lmodule_from_cokernel(s.nrows, s.divisors)
 
 
 def divisor_profile(divisors: Sequence[int]) -> tuple[tuple[tuple[int, int], int], ...]:

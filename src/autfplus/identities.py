@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import neg
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import words
 from .words import Word
 from .nielsen import monomial_letter_perm
 from .presentation import (
+    _signed_letters,
     check_rank,
     embed_E,
     format_xword,
@@ -560,10 +561,6 @@ def power_split_null(n: int, i: int, j: int, k: int) -> IdentityCertificate:
 # -- identity suite ----------------------------------------------------
 
 
-def _signed(n: int) -> list:
-    return [s * i for i in range(1, n + 1) for s in (1, -1)]
-
-
 def _fmt_tuple(*parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
@@ -574,21 +571,14 @@ class SuiteEntry:
     instance: str
     certificate: IdentityCertificate
 
-    def line(self) -> str:
-        cert = self.certificate
-        if cert.verified:
-            return f"{self.family}\t{self.instance}\tverified"
-        return (f"{self.family}\t{self.instance}\tfailed\t"
-                f"residual={len(cert.residual)}")
-
 
 def _base_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed(n):
-        for b in _signed(n):
+    for a in _signed_letters(n):
+        for b in _signed_letters(n):
             if abs(a) == abs(b):
                 continue
-            for c in _signed(n):
-                for d in _signed(n):
+            for c in _signed_letters(n):
+                for d in _signed_letters(n):
                     if abs(c) == abs(d):
                         continue
                     if len({abs(c), abs(d)} & {abs(a), abs(b)}) > 1:
@@ -602,9 +592,9 @@ def _base_entries(n: int) -> Iterator[SuiteEntry]:
 
 
 def _triangle_inversion_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed(n):
+    for a in _signed_letters(n):
         for c in range(1, n + 1):
-            for b in _signed(n):
+            for b in _signed_letters(n):
                 if len({abs(a), c, abs(b)}) != 3:
                     continue
                 expr = RelatorExpression(n, canon_r(n, a, -c, b))
@@ -614,8 +604,8 @@ def _triangle_inversion_entries(n: int) -> Iterator[SuiteEntry]:
 
 
 def _pair_sign_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed(n):
-        for b in _signed(n):
+    for a in _signed_letters(n):
+        for b in _signed_letters(n):
             if abs(a) == abs(b):
                 continue
             expr = RelatorExpression(n, canon_h(n, a, b))
@@ -640,13 +630,13 @@ def _sample_rewrite_entries(n: int) -> Iterator[SuiteEntry]:
 
 
 def _triangle_transport_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed(n):
-        for b in _signed(n):
+    for a in _signed_letters(n):
+        for b in _signed_letters(n):
             if abs(a) == abs(b):
                 continue
-            for c in _signed(n):
-                for d in _signed(n):
-                    for e in _signed(n):
+            for c in _signed_letters(n):
+                for d in _signed_letters(n):
+                    for e in _signed_letters(n):
                         if len({abs(c), abs(d), abs(e)}) != 3:
                             continue
                         if len({abs(c), abs(d), abs(e)}
@@ -658,12 +648,12 @@ def _triangle_transport_entries(n: int) -> Iterator[SuiteEntry]:
 
 
 def _pair_transport_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed(n):
-        for b in _signed(n):
+    for a in _signed_letters(n):
+        for b in _signed_letters(n):
             if abs(a) == abs(b):
                 continue
-            for c in _signed(n):
-                for d in _signed(n):
+            for c in _signed_letters(n):
+                for d in _signed_letters(n):
                     if abs(c) == abs(d):
                         continue
                     if len({abs(c), abs(d)} & {abs(a), abs(b)}) > 1:
@@ -700,11 +690,3 @@ def identity_suite(n: int) -> Iterator[SuiteEntry]:
     for _, gen in SUITE_FAMILIES:
         yield from gen(n)
 
-
-def suite_summary(entries: Iterable[SuiteEntry]) -> dict:
-    """Aggregate counts per family: {family: [verified, failed]}."""
-    out: dict = {}
-    for entry in entries:
-        slot = out.setdefault(entry.family.split("[")[0], [0, 0])
-        slot[0 if entry.certificate.verified else 1] += 1
-    return out

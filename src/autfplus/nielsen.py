@@ -8,10 +8,10 @@ relator verifications depend on equality of reduced images being cheap).
 
 Conventions fixed once and enforced by tests:
 
-- automorphisms act on words on the right; ``compose(s, t)`` is "apply s,
-  then t", i.e. ``apply(compose(s, t), w) == apply(t, apply(s, w))``;
+- automorphisms act on words on the right; ``s.compose(t)`` is "apply s,
+  then t", i.e. ``s.compose(t).apply(w) == t.apply(s.apply(w))``;
 - ``induced_matrix(s)`` has column k = coordinates of the abelianized
-  image of the k-th generator, so ``induced_matrix(compose(s, t)) ==
+  image of the k-th generator, so ``induced_matrix(s.compose(t)) ==
   induced_matrix(t) @ induced_matrix(s)``;
 - the coefficient modules carry *left* actions: on the abelianization H
   the action of s is by ``induced_matrix(inverse of s)``, on the dual
@@ -93,16 +93,6 @@ def identity_aut(n: int) -> Automorphism:
     return Automorphism(n, gens, gens)
 
 
-def from_images(n: int, images: Sequence[Word], inv_images: Sequence[Word]) -> Automorphism:
-    """Build from explicit images + inverse images, verifying both composites."""
-    a = Automorphism(n, tuple(reduce_word(w) for w in images),
-                     tuple(reduce_word(w) for w in inv_images))
-    for i in range(1, n + 1):
-        if a.apply_inverse(a.apply((i,))) != (i,) or a.apply(a.apply_inverse((i,))) != (i,):
-            raise ValueError("supplied inverse images do not invert the map")
-    return a
-
-
 def nielsen_aut(n: int, a: int, b: int) -> Automorphism:
     """The Nielsen map sending the letter a to a*b, fixing letters c != a^-1, a.
 
@@ -128,20 +118,6 @@ def nielsen_aut(n: int, a: int, b: int) -> Automorphism:
             images.append(reduce_word((-b, i)))
             inv_images.append(reduce_word((b, i)))
     return Automorphism(n, tuple(images), tuple(inv_images))
-
-
-def compose(*auts: Automorphism) -> Automorphism:
-    """Left-to-right composition of any number of automorphisms."""
-    assert auts, "compose needs at least one map"
-    out = auts[0]
-    for a in auts[1:]:
-        out = out.compose(a)
-    return out
-
-
-def monomial_aut(n: int, a: int, b: int) -> Automorphism:
-    """The order-4 monomial map a -> b^-1, b -> a (other letters fixed)."""
-    return compose(nielsen_aut(n, b, a), nielsen_aut(n, -a, b), nielsen_aut(n, -b, -a))
 
 
 def monomial_letter_perm(a: int, b: int, c: int) -> int:
@@ -175,36 +151,6 @@ def induced_matrix(s: Automorphism) -> Matrix:
             else:
                 col[-a - 1][k] -= 1
     return m
-
-
-def det_int(m: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_special(s: Automorphism) -> bool:
-    """True when the induced map on H has determinant +1."""
-    return det_int(induced_matrix(s)) == 1
 
 
 # -- coefficient modules ----------------------------------------------

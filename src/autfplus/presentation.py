@@ -12,12 +12,11 @@ Two presentations are provided:
 Words over the generator alphabet ("xwords") reuse the free-word calculus
 from `words`: a symbol with 1-based index s appears as the letter ``s``,
 its inverse as ``-s``.  Relator enumeration is family-major and
-lexicographic in the index tuples, so lists and text dumps are stable.
+lexicographic in the index tuples, so the lists are stable.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -163,10 +162,6 @@ class Relator:
     word: Word
 
 
-def _fam(label: str, family: str, indices: Sequence[int], word: Word) -> Relator:
-    return Relator(label, family, tuple(indices), word)
-
-
 @lru_cache(maxsize=None)
 def reduced_relators(n: int) -> tuple[Relator, ...]:
     """All relator instances of the reduced presentation, stable order.
@@ -187,7 +182,7 @@ def reduced_relators(n: int) -> tuple[Relator, ...]:
 
     def add(family: str, idx: Sequence[int], word: Word) -> None:
         label = f"{family}({','.join(map(str, idx))})"
-        rels.append(_fam(label, family, idx, word))
+        rels.append(Relator(label, family, tuple(idx), word))
 
     for i, j in permutations(range(1, n + 1), 2):
         add("R2-1", (i, j), comm(E(i, j), E(-i, j)))
@@ -273,7 +268,7 @@ def gersten_relators(n: int) -> list[tuple[str, Word]]:
     return out
 
 
-# -- text dumps --------------------------------------------------------
+# -- text form and symbol twists --------------------------------------
 
 
 def format_xword(n: int, xw: Word) -> str:
@@ -284,32 +279,6 @@ def format_xword(n: int, xw: Word) -> str:
         sym = symbol_of(n, abs(s))
         parts.append(str(sym) + ("" if s > 0 else "^-1"))
     return "*".join(parts)
-
-
-_SYM_RE = re.compile(r"^E\((\d+),([+-]),(\d+)\)(\^-1)?$")
-
-
-def parse_xword(n: int, text: str) -> Word:
-    s = text.strip().replace(" ", "")
-    if s in ("", "1"):
-        return ()
-    letters = []
-    for tok in s.split("*"):
-        m = _SYM_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad symbol token: {tok!r}")
-        idx = gen_index(n, int(m.group(1)), 1 if m.group(2) == "+" else -1, int(m.group(3)))
-        letters.append(-idx if m.group(4) else idx)
-    return words.reduce_word(letters)
-
-
-def dump_presentation(n: int) -> str:
-    """One relator per line: label, indices, xword — stable across runs."""
-    lines = []
-    for r in reduced_relators(n):
-        idx = ",".join(map(str, r.indices))
-        lines.append(f"{r.label}\t({idx})\t{format_xword(n, r.word)}")
-    return "\n".join(lines) + "\n"
 
 
 def twist_xword(n: int, a: int, b: int, xw: Word) -> Word:

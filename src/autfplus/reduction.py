@@ -40,7 +40,6 @@ from .homology import (
     _letter_times,
     _lmodule_from_cokernel,
     column_echelon,
-    is_unit_in_L,
     phi_matrix,
     snf,
     two_adic_split,
@@ -60,7 +59,7 @@ from .identities import (
     eq41_null,
     power_split_null,
 )
-from .nielsen import COEFF_SPACES, H
+from .nielsen import COEFF_SPACES
 from .presentation import (
     embed_E,
     gen_count,
@@ -75,29 +74,9 @@ from .words import Word
 # -- generator indices -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenIndex:
-    """One generator of the presented module: a relator tensor a basis slot."""
-
-    relator: str
-    basis: int  # 1-based
-
-    def __str__(self) -> str:
-        return f"{self.relator}(x)e{self.basis}"
-
-
 def generator_count_E(n: int) -> int:
-    """|E| = |R| * n."""
+    """|E| = |R| * n: column r * n + (p - 1) is relator r tensor basis slot p."""
     return len(reduced_relators(n)) * n
-
-
-def flat_index(n: int, g: GenIndex) -> int:
-    assert 1 <= g.basis <= n
-    return relator_index(n)[g.relator] * n + (g.basis - 1)
-
-
-def unflatten(n: int, col: int) -> GenIndex:
-    return GenIndex(reduced_relators(n)[col // n].label, col % n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +86,7 @@ def _family_rank_by_col(n: int) -> tuple:
     order = {"R5": 0, "R2": 1, "R4": 2, "R3": 3}
     out = []
     for rel in reduced_relators(n):
-        out.extend([order[rel.label.split("-")[0]]] * n)
+        out.extend([order[rel.family.split("-")[0]]] * n)
     return tuple(out)
 
 
@@ -672,9 +651,6 @@ class ModulePresentation:
     timings: dict[str, float | dict[str, float]] = field(default_factory=dict)
     peak_rss_kib: dict[str, int] = field(default_factory=dict)
 
-    def survivor_indices(self) -> tuple[GenIndex, ...]:
-        return tuple(unflatten(self.n, c) for c in self.survivors)
-
 
 class HarvestError(RuntimeError):
     pass
@@ -744,14 +720,15 @@ def _collect_rows(
     n: int,
     coeff: str,
     chosen: Sequence[str],
+    phi_cols: dict[int, list[tuple[int, int]]],
     progress: Callable[[str], None] | None,
 ) -> tuple[RowStore, list[FamilyReport], dict[str, float]]:
     """Fold every certificate of the chosen families into the row store,
     and time each family's certificates, folds and row checks.
 
-    Each new row is checked against the relator columns: a null expression
-    is zero in the relation module, so its row must lie in ker(phi).  That
-    check is independent of the free reduction that verified the
+    Each new row is checked against the relator columns `phi_cols` (see
+    `_phi_columns`): a null expression is zero in the relation module, so
+    its row must lie in ker(phi).  That check is independent of the free reduction that verified the
     certificate.  Duplicates differ from a checked row by a power of 2 and
     zero rows lie in every kernel, so new rows are all that need checking.
 
@@ -761,7 +738,6 @@ def _collect_rows(
     """
     ncols = generator_count_E(n)
     store = RowStore(ncols)
-    phi_cols = _phi_columns(n, coeff)
     reports: list[FamilyReport] = []
     seconds: dict[str, float] = {}
     for tag, name, builder in FAMILIES:
@@ -814,7 +790,8 @@ def harvest(
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
     t0 = time.perf_counter()
-    store, reports, family_seconds = _collect_rows(n, coeff, chosen, progress)
+    phi_cols = _phi_columns(n, coeff)  # for the row checks and the audit
+    store, reports, family_seconds = _collect_rows(n, coeff, chosen, phi_cols, progress)
     t1 = time.perf_counter()
     rss = {"collect": peak_rss_kib()}
     if progress:
@@ -824,14 +801,14 @@ def harvest(
     survivors, residual_rows = elim.finish()
     rss["eliminate"] = peak_rss_kib()
     t2 = time.perf_counter()
-    _audit_elimination(elim.pivot_cols, elim.pivot_rows, residual_rows, _phi_columns(n, coeff))
+    _audit_elimination(elim.pivot_cols, elim.pivot_rows, residual_rows, phi_cols)
     t3 = time.perf_counter()
     if progress:
         progress(
             f"{len(elim.pivot_cols)} pivots, {len(residual_rows)} residual rows, "
             f"{len(survivors)} survivors"
         )
-    bound, divisors, module = _account(len(survivors), survivors, residual_rows)
+    bound, divisors, module = _account(survivors, residual_rows)
     matrix = _compact_matrix(elim.pivot_rows, residual_rows, ncols)
     timings = {
         "collect": t1 - t0,
@@ -858,7 +835,7 @@ def harvest(
 
 
 def _account(
-    nsurv: int, survivors: list[int], residual_rows: list[dict[int, int]]
+    survivors: list[int], residual_rows: list[dict[int, int]]
 ) -> tuple[int, tuple[int, ...], LModule]:
     """Read the bound off the residual: B = survivors - L-unit divisors,
     which is the minimal generator count of the cokernel over L.  The SNF
@@ -876,7 +853,7 @@ def _account(
         res = snf(ech)
         res.verify(ech)
         divisors = res.nonzero_divisors()
-    module = _lmodule_from_cokernel(nsurv, divisors)
+    module = _lmodule_from_cokernel(len(survivors), divisors)
     return module.min_generators(), divisors, module
 
 
@@ -896,35 +873,16 @@ def _compact_matrix(
 # -- survivor documentation --------------------------------------------
 
 
-def survivor_basis(pres: ModulePresentation) -> tuple[GenIndex, ...]:
-    """The surviving generators of a harvest, as a spanning family of size =
-    the bound.
-
-    Requires the harvest to have certified the exact bound (no L-unit
-    divisors hiding in the residual); callers wanting exploratory numbers
-    should read ModulePresentation directly.
-    """
-    units = sum(1 for d in pres.residual_divisors if is_unit_in_L(d))
-    if units:
-        raise HarvestError(
-            "residual still contains L-unit divisors; the survivor set is "
-            f"not a minimal spanning family ({units} more could be removed)"
-        )
-    assert len(pres.survivors) == pres.bound
-    return pres.survivor_indices()
-
-
-def survivor_summary(survivors: Iterable[GenIndex]) -> dict[str, int]:
-    """Count survivors per relator family, splitting the triangle families
-    by whether the tensor slot avoids the relator's first index (the
-    shape the hand reduction leaves alive)."""
+def survivor_summary(n: int, survivors: Iterable[int]) -> dict[str, int]:
+    """Count survivor columns per relator family, splitting the triangle
+    families by whether the tensor slot avoids the relator's first index
+    (the shape the hand reduction leaves alive)."""
+    rels = reduced_relators(n)
     out: dict[str, int] = {}
-    for g in survivors:
-        fam = g.relator.split("(")[0]
-        if fam.startswith("R3"):
-            first = int(g.relator.split("(")[1].split(",")[0])
-            key = f"{fam}|p!=i" if g.basis != first else f"{fam}|p==i"
-        else:
-            key = fam
+    for c in survivors:
+        rel = rels[c // n]
+        key = rel.family
+        if key.startswith("R3"):
+            key += "|p!=i" if c % n + 1 != rel.indices[0] else "|p==i"
         out[key] = out.get(key, 0) + 1
     return dict(sorted(out.items()))

@@ -8,38 +8,16 @@ never a repeated full rescan.
 
 The same machinery is reused verbatim for words over any finite alphabet
 of symbols numbered 1..N (e.g. words over presentation generators), since
-nothing below depends on the rank beyond optional validation.
+nothing below depends on the rank.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable
 
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
-
-
-def reduce_word(letters: Iterable[int]) -> Word:
-    """Freely reduce a letter sequence (stack method, one pass)."""
-    out: list[int] = []
-    for a in letters:
-        assert a != 0, "0 is not a letter"
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def is_reduced(letters: Iterable[int]) -> bool:
-    prev = 0
-    for a in letters:
-        if a == 0 or a == -prev:
-            return False
-        prev = a
-    return True
 
 
 def multiply(*words: Iterable[int]) -> Word:
@@ -53,6 +31,10 @@ def multiply(*words: Iterable[int]) -> Word:
             else:
                 out.append(a)
     return tuple(out)
+
+
+#: Freely reduce one letter sequence: its product with no other word.
+reduce_word = multiply
 
 
 def inverse(w: Iterable[int]) -> Word:
@@ -71,7 +53,7 @@ def commutator(u: Word, v: Word) -> Word:
 
 def power(w: Word, k: int) -> Word:
     """w^k for any integer k (k may be negative or zero)."""
-    base = reduce_word(w) if not is_reduced(w) else tuple(w)
+    base = reduce_word(w)
     if k < 0:
         base = inverse(base)
         k = -k
@@ -80,52 +62,3 @@ def power(w: Word, k: int) -> Word:
         out = multiply(out, base)
     return out
 
-
-def validate_word(w: Iterable[int], rank: int) -> Word:
-    """Check letters lie in 1..rank and the word is reduced; return it.
-
-    Raises ValueError on out-of-range letters (rank mismatch at module
-    boundaries) and AssertionError on unreduced input.
-    """
-    t = tuple(w)
-    for a in t:
-        if a == 0 or abs(a) > rank:
-            raise ValueError(f"letter {a} outside rank-{rank} alphabet")
-    assert is_reduced(t), f"word not freely reduced: {t}"
-    return t
-
-
-_TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$", re.IGNORECASE)
-
-
-def parse_word(text: str) -> Word:
-    """Parse `x1*x2^-1*x3` style syntax (case-insensitive).
-
-    `1` and the empty string denote the identity.  A token may carry any
-    integer exponent; the printer only ever emits `^-1`.
-    """
-    s = text.strip().replace(" ", "")
-    if s in ("", "1"):
-        return EMPTY
-    letters: list[int] = []
-    for tok in s.split("*"):
-        m = _TOKEN.match(tok)
-        if not m:
-            raise ValueError(f"bad word token: {tok!r}")
-        idx = int(m.group(1))
-        if idx == 0:
-            raise ValueError("generator indices are 1-based")
-        exp = int(m.group(2)) if m.group(2) else 1
-        sign = 1 if exp > 0 else -1
-        letters.extend([sign * idx] * abs(exp))
-    return reduce_word(letters)
-
-
-def format_word(w: Word) -> str:
-    """Inverse of parse_word; identity prints as `1`."""
-    if not w:
-        return "1"
-    parts = []
-    for a in w:
-        parts.append(f"x{a}" if a > 0 else f"x{-a}^-1")
-    return "*".join(parts)

@@ -9,9 +9,13 @@ body serialization.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -444,3 +448,99 @@ def test_internal_inconsistency_maps_to_verify_exit(monkeypatch, capsys):
     assert code == EXIT_VERIFY
     assert out == ""
     assert "ConsistencyError" in err
+
+
+# -- src holds what the commands run -----------------------------------
+# Every function and method in src is entered by one of three small runs,
+# or is listed here with the reason it stays.  A helper that no command
+# runs belongs in tests/ as an oracle, or nowhere.
+
+_UNREACHED_BY_REASON = {
+    "tests/test_acceptance.py builds the group ring and reads artefacts": {
+        "homology:GroupRingElt.coeff",
+        "homology:GroupRingElt.from_word",
+        "homology:GroupRingElt.is_zero",
+        "homology:GroupRingElt.one",
+        "homology:GroupRingElt.zero",
+        "homology:IntMatrix.parse",
+        "homology:IntMatrix.set",
+        "homology:fox_derivative",
+    },
+    "error paths": {
+        "cli:_Parser.error",
+        "identities:IdentityCertificate.status",
+        "presentation:format_xword",
+    },
+    "perfbench/traced.py reads the dense SNF witnesses": {
+        "homology:_dense",
+    },
+    "test entry points": {
+        "homology:IntMatrix.get",
+        "homology:LModule.is_trivial",
+        "identities:Factor.word",
+        "identities:RelatorExpression.inverse",
+        "identities:conj_transport",
+    },
+}
+
+_TRACE = """
+import json, sys
+from autfplus.cli import main
+tmp = sys.argv[1]
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(profile)
+for argv in (["verify", "--n", "3"], ["homology", "--n", "3"],
+             ["certify-h2", "--n", "4", "--coeff", "H"]):
+    main(argv + ["--cache-dir", tmp + "/cache", "--out", tmp + "/report.json"])
+sys.setprofile(None)
+print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in entered})))
+"""
+
+
+def _src_functions(src: Path) -> dict:
+    """(file, first line) -> "module:Qual.name" for every non-dunder def in
+    src, nested ones included.  A decorated def's code starts at its first
+    decorator."""
+    out = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(str(path), line)] = name
+                walk(child, path, name + ".")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.resolve(), f"{path.stem}:")
+    return out
+
+
+def test_src_functions_are_reached_or_listed(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    # a fresh process, so that no cache filled by another test hides a call
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    entered = {tuple(key) for key in json.loads(done.stdout)}
+    functions = _src_functions(src / "autfplus")
+    unreached = {name for key, name in functions.items() if key not in entered}
+    listed = set().union(*_UNREACHED_BY_REASON.values())
+    assert sorted(unreached - listed) == [], "never run: move to tests/ or delete"
+    assert sorted(listed - unreached) == [], "listed but run or gone: unlist"

@@ -29,13 +29,11 @@ from autfplus.homology import (
 )
 from autfplus.identities import Factor, RelatorExpression, canon_h, certify
 from autfplus.nielsen import COEFF_SPACES
-from autfplus.presentation import embed_E, gen_count, h_xword, relator_index
+from autfplus.presentation import embed_E, gen_count, h_xword, reduced_relators, relator_index
 from autfplus.reduction import (
     FAMILY_TAGS,
     ExactEliminator,
-    GenIndex,
     HarvestError,
-    ModulePresentation,
     RowStore,
     _ELIGIBLE,
     _KMAX,
@@ -45,33 +43,20 @@ from autfplus.reduction import (
     _compact_matrix,
     _merge,
     _normalize_row,
+    _phi_columns,
     _resolve_families,
-    flat_index,
     fold_matrix,
     generator_count_E,
     harvest,
     relation_from_null,
-    survivor_basis,
     survivor_summary,
-    unflatten,
 )
 from test_homology import word_action
 
-# -- generator indexing -------------------------------------------------
 
-
-def test_flat_index_bijection():
-    n = 3
-    ncols = generator_count_E(n)
-    assert ncols == 66 * n
-    seen = set()
-    for col in range(ncols):
-        g = unflatten(n, col)
-        assert isinstance(g, GenIndex) and 1 <= g.basis <= n
-        assert flat_index(n, g) == col
-        seen.add(g)
-    assert len(seen) == ncols
-    assert str(GenIndex("R3-1(1,2,3)", 2)) == "R3-1(1,2,3)(x)e2"
+def collect(n, coeff, chosen=FAMILY_TAGS):
+    """_collect_rows with the relator columns of phi and no progress."""
+    return _collect_rows(n, coeff, chosen, _phi_columns(n, coeff), None)
 
 
 # -- folding fixtures ---------------------------------------------------
@@ -239,8 +224,8 @@ def _random_rows(rng: random.Random, nrows: int, ncols: int) -> list[dict[int, i
 
 def _presented_module(rows: list[dict[int, int]], ncols: int) -> LModule:
     """Oracle: Z^ncols / row span, read over L via the full integer SNF."""
-    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-    divisors = snf(IntMatrix.from_dense(dense, ncols)).nonzero_divisors()
+    entries = {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}
+    divisors = snf(IntMatrix(len(rows), ncols, entries)).nonzero_divisors()
     torsion = tuple(
         odd for odd in (two_adic_split(abs(d))[1] for d in divisors) if odd != 1
     )
@@ -255,7 +240,7 @@ def test_eliminator_accounting_matches_full_snf(seed):
     rows = _random_rows(rng, rng.randint(2, 14), ncols)
     elim = ExactEliminator(n, ncols, [dict(r) for r in rows])
     survivors, residual = elim.finish()
-    bound, divisors, module = _account(len(survivors), survivors, residual)
+    bound, divisors, module = _account(survivors, residual)
 
     oracle = _presented_module(rows, ncols)
     assert module == oracle
@@ -270,7 +255,7 @@ def test_eliminator_handles_odd_only_rows():
     elim = ExactEliminator(3, 2, [dict(r) for r in rows])
     survivors, residual = elim.finish()
     assert elim.pivot_cols == [] and len(residual) == 2
-    bound, divisors, module = _account(len(survivors), survivors, residual)
+    bound, divisors, module = _account(survivors, residual)
     # divisors (1, 16): both are units over L, so nothing survives
     assert sorted(abs(d) for d in divisors) == [1, 16]
     assert bound == 0 and module.is_trivial()
@@ -291,7 +276,7 @@ def test_account_verifies_the_residual_snf(monkeypatch):
         return res
 
     monkeypatch.setattr(reduction, "snf", spied)
-    bound, divisors, module = _account(len(survivors), survivors, residual)
+    bound, divisors, module = _account(survivors, residual)
     assert len(checked) == 1
     assert divisors == (1, 1, 144) and bound == 1 and module == LModule(0, (9,))
 
@@ -302,9 +287,9 @@ def test_account_verifies_the_residual_snf(monkeypatch):
 
     monkeypatch.setattr(reduction, "snf", tampered)
     with pytest.raises(ConsistencyError):
-        _account(len(survivors), survivors, residual)
+        _account(survivors, residual)
     # an empty residual factors nothing
-    assert _account(3, survivors, []) == (3, (), LModule(3, ()))
+    assert _account(survivors, []) == (3, (), LModule(3, ()))
 
 
 def test_eligible_table_matches_the_valuation_rule():
@@ -501,7 +486,7 @@ PIVOT_FINGERPRINTS = {
 
 @lru_cache(maxsize=None)
 def _full_elimination(n: int, coeff: str):
-    store, _, _ = _collect_rows(n, coeff, FAMILY_TAGS, None)
+    store, _, _ = collect(n, coeff)
     elim = ExactEliminator(n, generator_count_E(n), store.rows)
     _, residual = elim.finish()
     return elim, residual
@@ -636,7 +621,7 @@ def modp_scout(n, coeff, families=None):
     assert coeff in COEFF_SPACES, coeff
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
-    store, _, _ = _collect_rows(n, coeff, chosen, None)
+    store, _, _ = collect(n, coeff, chosen)
     rank = rank_mod_p(_compact_matrix(store.rows, [], ncols), 3)
     return ncols - rank, rank
 
@@ -646,7 +631,7 @@ def test_modp_scout_is_a_lower_bound(harvest3H):
     assert bound_p <= harvest3H.bound
     assert bound_p + rank_p == harvest3H.generator_count
     # the scout's kernel against the dense mod-3 rank of the same rows
-    store, _, _ = _collect_rows(3, "H", FAMILY_TAGS, None)
+    store, _, _ = collect(3, "H")
     assert rank_p == rank_mod_p(_compact_matrix(store.rows, [], store.ncols), 3)
     thin_bound, _ = modp_scout(3, "H", families=("F1",))
     assert thin_bound <= harvest(3, "H", families=("F1",)).bound
@@ -713,7 +698,7 @@ def test_harvest_keeps_one_fold_memo_per_family_and_releases_the_dedup_index(mon
             f.conj[:t] for cert in certs for f in cert.rhs.factors for t in range(len(f.conj) + 1)
         }
         assert set(memo) == prefixes
-    store, _, _ = _collect_rows(3, "Hdual", FAMILY_TAGS, None)
+    store, _, _ = collect(3, "Hdual")
     assert store._index is None and store.rows
 
 
@@ -773,7 +758,7 @@ def test_audit_rejects_a_wrong_merge_multiplier(monkeypatch):
 
 
 def test_audit_checks_residual_rows():
-    phi_cols = reduction._phi_columns(3, "H")
+    phi_cols = _phi_columns(3, "H")
     with pytest.raises(ConsistencyError, match="residual row 0 has an entry at a pivot column"):
         _audit_elimination([0], [{0: 1}], [{0: 3}], {})
     g = min(phi_cols)
@@ -785,33 +770,43 @@ def test_audit_checks_residual_rows():
 # -- survivor reporting -------------------------------------------------
 
 
+def label_survivor_summary(n, survivors):
+    """Oracle: the survivor summary read off each column's relator label,
+    split back into its family and first index."""
+    out = {}
+    for c in survivors:
+        label, basis = reduced_relators(n)[c // n].label, c % n + 1
+        fam = label.split("(")[0]
+        if fam.startswith("R3"):
+            first = int(label.split("(")[1].split(",")[0])
+            key = f"{fam}|p!=i" if basis != first else f"{fam}|p==i"
+        else:
+            key = fam
+        out[key] = out.get(key, 0) + 1
+    return dict(sorted(out.items()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_survivor_summary_matches_the_label_reading(n):
+    ncols = generator_count_E(n)
+    assert ncols == {3: 66, 4: 300, 5: 900, 6: 2130}[n] * n  # relator x basis slot
+    for c in range(ncols):
+        assert survivor_summary(n, [c]) == label_survivor_summary(n, [c]), c
+    assert survivor_summary(n, range(ncols)) == label_survivor_summary(n, range(ncols))
+
+
 def test_survivor_basis_and_summary(harvest3H):
-    basis = survivor_basis(harvest3H)
-    assert len(basis) == harvest3H.bound
-    assert all(isinstance(g, GenIndex) for g in basis)
-    summary = survivor_summary(basis)
-    assert sum(summary.values()) == harvest3H.bound
+    # no L-unit is left in the residual, so the survivors are a minimal
+    # spanning family: as many as the bound
+    assert not harvest3H.residual_divisors
+    assert len(harvest3H.survivors) == harvest3H.bound == 53
+    summary = survivor_summary(3, harvest3H.survivors)
     # only commuting-pair and triangle generators survive the steering
-    assert all(k.startswith(("R2", "R3")) for k in summary)
-    assert any("|p==i" in k for k in summary) and any("|p!=i" in k for k in summary)
-
-
-def test_survivor_basis_refuses_uncertified_bounds(harvest3H):
-    doctored = ModulePresentation(
-        n=harvest3H.n,
-        coeff=harvest3H.coeff,
-        generator_count=harvest3H.generator_count,
-        matrix=harvest3H.matrix,
-        module=harvest3H.module,
-        bound=harvest3H.bound - 1,
-        survivors=harvest3H.survivors,
-        pivot_count=harvest3H.pivot_count,
-        residual_rows=1,
-        residual_divisors=(4,),  # an L-unit left in the residual
-        manifest=harvest3H.manifest,
-    )
-    with pytest.raises(HarvestError):
-        survivor_basis(doctored)
+    assert summary == {
+        "R2-2": 2, "R2-3": 6, "R2-4": 2, "R2-5": 6,
+        "R3-1|p!=i": 5, "R3-1|p==i": 5, "R3-2|p!=i": 3, "R3-2|p==i": 6,
+        "R3-3|p!=i": 6, "R3-3|p==i": 6, "R3-4|p==i": 6,
+    }
 
 
 def test_compacted_matrix_presents_the_same_module(harvest3H):
