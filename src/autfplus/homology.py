@@ -27,7 +27,8 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import presentation, words
 from .nielsen import COEFF_SPACES, H, induced_matrix
@@ -71,12 +72,6 @@ class GroupRingElt:
     @staticmethod
     def one() -> "GroupRingElt":
         return GroupRingElt.from_word(words.EMPTY)
-
-    def coeff(self, w: Word) -> int:
-        return self.terms.get(words.reduce_word(w), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
         out = dict(self.terms)
@@ -208,16 +203,14 @@ def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
 class IntMatrix:
     """Sparse exact-integer matrix: {(row, col): nonzero int}, 0-based."""
 
-    __slots__ = ("nrows", "ncols", "data")
+    __slots__ = ("nrows", "ncols", "data", "_sealed")
 
     def __init__(self, nrows: int, ncols: int, data: dict[tuple[int, int], int] | None = None):
         assert nrows >= 0 and ncols >= 0
         self.nrows = nrows
         self.ncols = ncols
         self.data = {} if data is None else {k: v for k, v in data.items() if v}
-
-    def get(self, i: int, j: int) -> int:
-        return self.data.get((i, j), 0)
+        self._sealed: tuple | None = None  # (data, nrows, ncols, digest), see seal
 
     def set(self, i: int, j: int, v: int) -> None:
         assert 0 <= i < self.nrows and 0 <= j < self.ncols
@@ -250,7 +243,22 @@ class IntMatrix:
         return out
 
     def content_hash(self) -> str:
+        """sha256 of dump(); for a sealed matrix, the digest seal kept."""
+        sealed = self._sealed
+        if sealed is not None and sealed[:3] == (self.data, self.nrows, self.ncols):
+            return sealed[3]
         return hashlib.sha256(self.dump().encode()).hexdigest()
+
+    def seal(self) -> str:
+        """dump(), with its digest kept as the content hash, so that a written
+        matrix is serialized once.  data becomes a read-only view of its own
+        copy, so a later change fails loudly; after data, nrows or ncols is
+        rebound, the digest is kept only if the content is the same."""
+        text = self.dump()
+        self.data = MappingProxyType(dict(self.data))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        self._sealed = (self.data, self.nrows, self.ncols, digest)
+        return text
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         assert self.ncols == other.nrows
@@ -614,9 +622,6 @@ class LModule:
     free_rank: int
     torsion: tuple[int, ...]  # odd parts > 1 of the nonunit divisors, in chain order
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def min_generators(self) -> int:
         return self.free_rank + len(self.torsion)
 
@@ -761,8 +766,8 @@ CROSS_CHECK_PRIMES = (3, 5, 7)
 # -- caching / checkpoints ---------------------------------------------
 
 
-def _atomic_write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write the text, or its pieces in order, to path through a temp file."""
+def _atomic_write_text(path: str, text: str) -> None:
+    """Write the text to path through a temp file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
@@ -772,7 +777,7 @@ def _atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
-            f.writelines((text,) if isinstance(text, str) else text)
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -782,26 +787,13 @@ def _atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
-def _snf_json(res: SNFResult) -> Iterator[str]:
-    """The text of json.dumps(..., sort_keys=True) of the SNF with its dense
-    witnesses, in pieces of one matrix row, written from the sparse rows."""
-    m, n = res.nrows, res.ncols
-    yield f'{{"divisors": {json.dumps(list(res.divisors))}, "ncols": {n}, "nrows": {m}'
-    for key, rows, k in (
-        ("u", res.u_rows, m),
-        ("uinv", res.uinv_rows, m),
-        ("v", res.v_rows, n),
-        ("vinv", res.vinv_rows, n),
-    ):
-        yield f', "{key}": ['
-        zeros = ["0"] * k
-        for i, row in enumerate(rows):
-            cells = zeros.copy()
-            for j, v in row.items():
-                cells[j] = str(v)
-            yield ("[" if i == 0 else ", [") + ", ".join(cells) + "]"
-        yield "]"
-    yield "}"
+def _snf_json(res: SNFResult) -> str:
+    """json.dumps(..., sort_keys=True) of the SNF, each witness as its sparse
+    rows: per row, the [column, value] pairs of its nonzeros by column."""
+    doc = {"divisors": list(res.divisors), "ncols": res.ncols, "nrows": res.nrows}
+    for key in ("u", "uinv", "v", "vinv"):
+        doc[key] = [sorted(row.items()) for row in getattr(res, f"{key}_rows")]
+    return json.dumps(doc, sort_keys=True)
 
 
 def snf_cached(a: IntMatrix, cache_dir: str | None) -> SNFResult:
@@ -821,7 +813,7 @@ def _echelon_cached(mat: IntMatrix, cache_dir: str | None) -> IntMatrix:
     res = column_echelon(mat)
     if cache_dir is not None:
         path = os.path.join(cache_dir, f"echelon-{mat.content_hash()[:24]}.mat")
-        _atomic_write_text(path, res.dump())
+        _atomic_write_text(path, res.seal())
     return res
 
 
@@ -835,7 +827,7 @@ def _matrix_checkpoint(
     """
     res = builder(n, coeff)
     if cache_dir is not None:
-        _atomic_write_text(os.path.join(cache_dir, f"{name}-n{n}-{coeff}.mat"), res.dump())
+        _atomic_write_text(os.path.join(cache_dir, f"{name}-n{n}-{coeff}.mat"), res.seal())
     return res
 
 

@@ -7,7 +7,7 @@ verifies exactly or carries the nonzero residual word as a witness; failed
 certificates must never be consumed downstream.
 
 The heavy lifting is the rewriting of ``(w_ab^-1 E_cd w_ab)^-1 E_{c^s d^s}``
-into canonical relator factors (``conj_transport``), built inductively from
+into canonical relator factors (``_transport``), built inductively from
 eight single-generator base cases keyed on how {c, d} meets {a, b}.  On top
 of that sit the two null-expression builders used by the coefficient-module
 reduction: transporting a triangle relator (``eq21_null``) and transporting
@@ -95,10 +95,6 @@ class Factor:
     relator: str
     exponent: int
 
-    def word(self, n: int) -> Word:
-        return words.conjugate(_signed_table(n)[self.relator, self.exponent],
-                               self.conj)
-
     def inverse(self) -> "Factor":
         return Factor(self.conj, self.relator, -self.exponent)
 
@@ -134,9 +130,6 @@ class RelatorExpression:
     def __mul__(self, other: "RelatorExpression") -> "RelatorExpression":
         assert self.n == other.n
         return _of_checked(self.n, self.factors + other.factors)
-
-    def inverse(self) -> "RelatorExpression":
-        return _of_checked(self.n, _inv_factors(self.factors))
 
     def conjugated(self, u: Word) -> "RelatorExpression":
         return _of_checked(self.n, _conj_factors(self.factors, u))
@@ -432,8 +425,12 @@ def base_case(n: int, a: int, b: int, c: int, d: int) -> tuple:
 
 def _transport(n: int, a: int, b: int,
                V: Word) -> tuple[RelatorExpression, Word]:
-    """conj_transport's expression, with the target word it was certified
-    to expand to."""
+    """Express (w_ab^-1 V w_ab)^-1 V^sigma in conjugated canonical relators.
+
+    Built letter by letter from the base cases; the t-th base expression is
+    conjugated by w^-1 (suffix after t)^-1 w.  The result is certified
+    against the expanded target, which is returned with it.
+    """
     if abs(a) == abs(b) or not (1 <= abs(a) <= n and 1 <= abs(b) <= n):
         raise ValueError(f"invalid transport pair ({a}, {b})")
     V = words.reduce_word(V)
@@ -446,17 +443,7 @@ def _transport(n: int, a: int, b: int,
         out.extend(_conj_factors(base_case(n, a, b, c, d), u_t))
     target = transport_target(n, a, b, V)
     return _certified(RelatorExpression(n, tuple(out)), target,
-                      "conj_transport"), target
-
-
-def conj_transport(n: int, a: int, b: int, V: Word) -> RelatorExpression:
-    """Express (w_ab^-1 V w_ab)^-1 V^sigma in conjugated canonical relators.
-
-    Built letter by letter from the base cases; the t-th base expression is
-    conjugated by w^-1 (suffix after t)^-1 w.  The result is certified
-    against the expanded target before it is returned.
-    """
-    return _transport(n, a, b, V)[0]
+                      "transport"), target
 
 
 def transport_chain(n: int, pairs: Sequence,

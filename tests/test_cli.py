@@ -457,9 +457,7 @@ def test_internal_inconsistency_maps_to_verify_exit(monkeypatch, capsys):
 
 _UNREACHED_BY_REASON = {
     "tests/test_acceptance.py builds the group ring and reads artefacts": {
-        "homology:GroupRingElt.coeff",
         "homology:GroupRingElt.from_word",
-        "homology:GroupRingElt.is_zero",
         "homology:GroupRingElt.one",
         "homology:GroupRingElt.zero",
         "homology:IntMatrix.parse",
@@ -473,13 +471,6 @@ _UNREACHED_BY_REASON = {
     },
     "perfbench/traced.py reads the dense SNF witnesses": {
         "homology:_dense",
-    },
-    "test entry points": {
-        "homology:IntMatrix.get",
-        "homology:LModule.is_trivial",
-        "identities:Factor.word",
-        "identities:RelatorExpression.inverse",
-        "identities:conj_transport",
     },
 }
 

@@ -144,8 +144,8 @@ def test_group_ring_axioms(a, b, c):
 
 def test_group_ring_reduces_keys():
     e = GroupRingElt([((1, -1, 2), 3), ((2,), -3)])
-    assert e.is_zero()
-    assert GroupRingElt.from_word((1, 2, -2)).coeff((1,)) == 1
+    assert not e.terms
+    assert GroupRingElt.from_word((1, 2, -2)).terms == {(1,): 1}
 
 
 # -- coefficient actions ------------------------------------------------
@@ -252,6 +252,11 @@ def from_dense(rows) -> IntMatrix:
                      {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
 
+def _entry(a: IntMatrix, i: int, j: int) -> int:
+    """The (i, j) entry of a, 0 where none is stored."""
+    return a.data.get((i, j), 0)
+
+
 def _random_matrix(rng: random.Random, m: int, n: int, density=0.6) -> IntMatrix:
     out = IntMatrix(m, n)
     for i in range(m):
@@ -269,10 +274,10 @@ def test_intmatrix_dump_parse_roundtrip():
     b = IntMatrix.parse(a.dump())
     assert a == b
     assert a.content_hash() == b.content_hash()
-    a.set(0, 0, a.get(0, 0) + 1)
+    a.set(0, 0, _entry(a, 0, 0) + 1)
     assert a.content_hash() != b.content_hash()
     a.set(2, 3, 0)
-    assert (2, 3) not in a.data or a.get(2, 3) != 0
+    assert (2, 3) not in a.data or _entry(a, 2, 3) != 0
 
 
 def test_intmatrix_mul_matches_dense():
@@ -669,7 +674,7 @@ def test_to_L_examples():
         disappear, the rest keep their odd parts."""
         return _lmodule_from_cokernel(a.nrows, snf(a).divisors)
 
-    assert to_L(from_dense([[4]])).is_trivial()  # 2-powers die over L
+    assert to_L(from_dense([[4]])) == LModule(0, ())  # 2-powers die over L
     assert to_L(from_dense([[6]])) == LModule(0, (3,))
     mod = to_L(IntMatrix(3, 1, {(0, 0): 12}))
     assert mod == LModule(2, (3,))
@@ -803,7 +808,7 @@ def test_d1_shape_and_blocks():
     assert (d1.nrows, d1.ncols) == (n, n * gen_count(n))
     # first symbol block is (action of symbol 1) - I
     m = letter_action(n, "H", 1)
-    blk = [[d1.get(i, j) for j in range(n)] for i in range(n)]
+    blk = [[_entry(d1, i, j) for j in range(n)] for i in range(n)]
     assert blk == [
         [m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
     ]
@@ -891,10 +896,35 @@ def test_snf_cached_roundtrip(tmp_path):
     r2.verify(a)
 
 
+WITNESSES = (("u", "nrows"), ("uinv", "nrows"), ("v", "ncols"), ("vinv", "ncols"))
+
+
+def _dense_snf_doc(text: str) -> dict:
+    """The dense document that the text of a sparse snf-*.json stands for.
+
+    Each witness row is a list of [column, value] pairs; the decoder insists
+    on nrows or ncols rows, columns in range and strictly increasing, and no
+    stored zero, so that one dense document has exactly one sparse text."""
+    doc = json.loads(text)
+    for key, k in WITNESSES:
+        assert len(doc[key]) == doc[k], key
+        dense = []
+        for pairs in doc[key]:
+            cols = [j for j, _ in pairs]
+            assert cols == sorted(set(cols)) and all(0 <= j < doc[k] for j in cols), key
+            row = [0] * doc[k]
+            for j, v in pairs:
+                assert v != 0, key
+                row[j] = v
+            dense.append(row)
+        doc[key] = dense
+    return doc
+
+
 def test_snf_cached_writes_the_text_of_json_dumps(tmp_path):
-    # the artefact is written from the sparse rows; it must be the text that
-    # json.dumps gives for the dense document, on every shape from 0 x k to
-    # 7 x 7, with signed multi-digit entries in the matrix and the witnesses
+    # the artefact is json.dumps of the sparse rows, and it decodes to the
+    # dense document, on every shape from 0 x k to 7 x 7, with signed
+    # multi-digit entries in the matrix and the witnesses
     rng = random.Random(5150)
     multi_digit = 0
     for m in range(8):
@@ -904,26 +934,25 @@ def test_snf_cached_writes_the_text_of_json_dumps(tmp_path):
                 for key, v in a.data.items():
                     a.data[key] = v * rng.choice((1, 1, 13, 101))
                 res = snf_cached(a, str(tmp_path))
-                doc = {
-                    "nrows": m,
-                    "ncols": n,
-                    "divisors": list(res.divisors),
-                    "u": res.u,
-                    "uinv": res.uinv,
-                    "v": res.v,
-                    "vinv": res.vinv,
-                }
+                doc = {"nrows": m, "ncols": n, "divisors": list(res.divisors)}
+                sparse = dict(doc)
+                for key, _ in WITNESSES:
+                    doc[key] = getattr(res, key)
+                    rows = getattr(res, f"{key}_rows")
+                    sparse[key] = [[[j, v] for j, v in sorted(row.items())] for row in rows]
                 path = tmp_path / f"snf-{a.content_hash()[:24]}.json"
                 text = path.read_text()
-                assert text == json.dumps(doc, sort_keys=True), (m, n, a.triplets())
+                assert text == json.dumps(sparse, sort_keys=True), (m, n, a.triplets())
+                assert _dense_snf_doc(text) == doc, (m, n, a.triplets())
                 multi_digit += any(
                     x <= -10 for key in ("u", "uinv", "v", "vinv") for row in doc[key] for x in row
                 )
     assert multi_digit >= 50
 
 
-# sha256 of column_echelon(phi).dump() and of the snf-*.json entries written
-# for d1 and for that echelon, as the dense kernels produced them
+# sha256 of column_echelon(phi).dump() and of the dense json.dumps text of the
+# snf-*.json entries written for d1 and for that echelon, as the dense
+# kernels produced them; the sparse files are decoded back to that text
 WITNESS_SHA256 = {
     (4, "H"): (
         "ee82c13532e78410877d2c220fe6f87a1b9b672d6bc96c768edb2a9cc270574c",
@@ -958,5 +987,65 @@ def test_echelon_and_snf_witness_bytes_are_pinned(tmp_path, n, coeff):
     got = [sha(ech.dump().encode())]
     for mat in (d1, ech):
         snf_cached(mat, str(tmp_path))
-        got.append(sha((tmp_path / f"snf-{mat.content_hash()[:24]}.json").read_bytes()))
+        text = (tmp_path / f"snf-{mat.content_hash()[:24]}.json").read_text()
+        got.append(sha(json.dumps(_dense_snf_doc(text), sort_keys=True).encode()))
     assert tuple(got) == WITNESS_SHA256[(n, coeff)]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_five_term_data_dumps_each_written_matrix_once(tmp_path, monkeypatch):
+    dump = IntMatrix.dump
+    dumped = []
+
+    def counted(self):
+        dumped.append(self)
+        return dump(self)
+
+    monkeypatch.setattr(IntMatrix, "dump", counted)
+    data = five_term_data(4, "Hdual", cache_dir=str(tmp_path))
+    # d1, phi and the echelon are the matrices written, each dumped once
+    assert [id(m) for m in dumped] == [id(data.d1), id(data.phi), id(data.echelon)]
+    texts = {name: (tmp_path / f"{name}-n4-Hdual.mat").read_text() for name in ("d1", "phi")}
+    assert texts == {"d1": dump(data.d1), "phi": dump(data.phi)}
+    # and every content-keyed name is the digest of the text written
+    ech = (tmp_path / f"echelon-{_sha(texts['phi'])[:24]}.mat").read_text()
+    assert ech == dump(data.echelon)
+    assert sorted(os.listdir(tmp_path)) == sorted([
+        "d1-n4-Hdual.mat",
+        "phi-n4-Hdual.mat",
+        f"echelon-{_sha(texts['phi'])[:24]}.mat",
+        f"snf-{_sha(texts['d1'])[:24]}.json",
+        f"snf-{_sha(ech)[:24]}.json",
+    ])
+
+
+def test_a_sealed_matrix_cannot_keep_a_stale_name(tmp_path):
+    a = from_dense([[2, 4], [6, 10]])
+    raw = a.data
+    text = a.seal()
+    assert a.content_hash() == _sha(text) == _sha(a.dump())
+    # a change in place fails loudly
+    with pytest.raises(TypeError):
+        a.data[(0, 0)] = 3
+    with pytest.raises(TypeError):
+        a.set(0, 0, 3)
+    with pytest.raises(AttributeError):
+        a.set(0, 1, 0)
+    # the matrix keeps a copy of its own, so the dict it was built in is free
+    raw[(0, 0)] = 3
+    assert _entry(a, 0, 0) == 2 and a.content_hash() == _sha(text)
+    # rebinding data, nrows or ncols gives the new content its own name
+    for field, value in (("data", raw), ("nrows", 3), ("ncols", 3)):
+        b = from_dense([[2, 4], [6, 10]])
+        b.seal()
+        setattr(b, field, value)
+        assert b.content_hash() == _sha(b.dump()) != _sha(text), field
+        snf_cached(b, str(tmp_path))
+        assert (tmp_path / f"snf-{_sha(b.dump())[:24]}.json").exists(), field
+    assert not (tmp_path / f"snf-{_sha(text)[:24]}.json").exists()
+    # the same content under a new dict keeps the name
+    a.data = {(1, 1): 10, (0, 0): 2, (1, 0): 6, (0, 1): 4}
+    assert a.content_hash() == _sha(text)

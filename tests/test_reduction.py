@@ -258,7 +258,7 @@ def test_eliminator_handles_odd_only_rows():
     bound, divisors, module = _account(survivors, residual)
     # divisors (1, 16): both are units over L, so nothing survives
     assert sorted(abs(d) for d in divisors) == [1, 16]
-    assert bound == 0 and module.is_trivial()
+    assert bound == 0 and module == LModule(0, ())
 
 
 def test_account_verifies_the_residual_snf(monkeypatch):
@@ -813,7 +813,7 @@ def test_compacted_matrix_presents_the_same_module(harvest3H):
     mat = harvest3H.matrix
     assert mat.ncols == harvest3H.generator_count
     rows = [
-        {j: mat.get(i, j) for j in range(mat.ncols) if mat.get(i, j)}
+        {j: mat.data[i, j] for j in range(mat.ncols) if (i, j) in mat.data}
         for i in range(mat.nrows)
     ]
     assert _presented_module(rows, mat.ncols) == harvest3H.module
