@@ -44,8 +44,6 @@ EXIT_VERIFY = 2
 EXIT_BOUND = 3
 EXIT_CONFIG = 64
 
-_SUITE_TOKENS = {"lemmas", "presentations"}
-_FILTER_TOKENS = set(FAMILY_TAGS) | _SUITE_TOKENS
 _COEFFS = ("H", "Hdual")
 
 
@@ -59,21 +57,14 @@ class RunConfig:
     n: int
     coeff: str  # "H", "Hdual", "both"; verify ignores it
     suite: str  # verify only
-    families: tuple[str, ...] | None
+    families: tuple[str, ...] | None  # certify-h2 only: harvest F-tags, None = all
     threads: int
-    cache_dir: str | None
+    cache_dir: str | None  # homology and certify-h2 only
     out: str | None
 
     @property
     def coeffs(self) -> tuple[str, ...]:
         return _COEFFS if self.coeff == "both" else (self.coeff,)
-
-    @property
-    def family_tags(self) -> tuple[str, ...] | None:
-        """The F-tag subset of the filter (None = no filter given)."""
-        if self.families is None:
-            return None
-        return tuple(t for t in self.families if t in FAMILY_TAGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,40 +81,36 @@ def build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp: argparse.ArgumentParser, with_coeff: bool) -> None:
+    def command(name: str, help: str, modules: bool) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--n", type=int, required=True, help="free group rank (>= 3)")
-        if with_coeff:
+        if modules:
             sp.add_argument(
                 "--coeff",
                 choices=("H", "Hdual", "both"),
                 default="both",
                 help="coefficient module: abelianization, its dual, or both",
             )
-        sp.add_argument(
-            "--families",
-            default=None,
-            help="comma-separated filter out of "
-            + ",".join(sorted(_FILTER_TOKENS))
-            + " (F-tags select harvest families; "
-            "'lemmas'/'presentations' select verify suites)",
-        )
+            sp.add_argument(
+                "--cache-dir", default=None, help="artefact directory for matrices and normal forms, never read"
+            )
         sp.add_argument("--threads", type=int, default=1, help="recorded in meta.threads; runs are single-process")
-        sp.add_argument(
-            "--cache-dir", default=None, help="artefact directory for matrices and normal forms, never read"
-        )
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
+        return sp
 
-    v = sub.add_parser("verify", help="presentation soundness and identity certificates")
-    common(v, with_coeff=False)
+    v = command("verify", "presentation soundness and identity certificates", modules=False)
     v.add_argument(
         "--suite",
         choices=("presentation", "identities", "all"),
         default="all",
     )
-    h = sub.add_parser("homology", help="first-homology pipeline")
-    common(h, with_coeff=True)
-    c = sub.add_parser("certify-h2", help="relation harvest and second-homology certificate")
-    common(c, with_coeff=True)
+    command("homology", "first-homology pipeline", modules=True)
+    c = command("certify-h2", "relation harvest and second-homology certificate", modules=True)
+    c.add_argument(
+        "--families",
+        default=None,
+        help="comma-separated harvest families out of " + ",".join(FAMILY_TAGS) + " (default: all)",
+    )
     return p
 
 
@@ -131,13 +118,14 @@ def parse_config(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     if args.n < 3:
         raise ConfigError(f"n must be >= 3, got {args.n}")
-    families = None
-    if args.families is not None:
-        tokens = tuple(t.strip() for t in args.families.split(",") if t.strip())
-        unknown = [t for t in tokens if t not in _FILTER_TOKENS]
+    families = getattr(args, "families", None)
+    if families is not None:
+        families = tuple(t.strip() for t in families.split(",") if t.strip())
+        unknown = [t for t in families if t not in FAMILY_TAGS]
         if unknown:
-            raise ConfigError(f"unknown family tokens: {','.join(unknown)}")
-        families = tokens
+            raise ConfigError(f"unknown family tags: {','.join(unknown)}")
+        if not families:
+            raise ConfigError("--families names no family")
     if args.threads < 1:
         raise ConfigError("threads must be >= 1")
     return RunConfig(
@@ -147,7 +135,7 @@ def parse_config(argv=None) -> RunConfig:
         suite=getattr(args, "suite", "all"),
         families=families,
         threads=args.threads,
-        cache_dir=args.cache_dir,
+        cache_dir=getattr(args, "cache_dir", None),
         out=args.out,
     )
 
@@ -207,24 +195,19 @@ def _verify_identities(n: int) -> dict:
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict, dict]:
     wanted = {"presentation", "identities"} if cfg.suite == "all" else {cfg.suite}
-    if cfg.families is not None:
-        selected = {t for t in cfg.families if t in _SUITE_TOKENS}
-        if selected:
-            mapped = {"presentations": "presentation", "lemmas": "identities"}
-            wanted &= {mapped[t] for t in selected}
     suites: dict = {}
     timings: dict = {}
     failed = False
     if "presentation" in wanted:
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         block = _verify_presentation(cfg.n)
-        timings["presentation"] = round(time.monotonic() - t0, 3)
+        timings["presentation"] = round(time.perf_counter() - t0, 3)
         failed |= bool(block["failures"])
         suites["presentation"] = block
     if "identities" in wanted:
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         block = _verify_identities(cfg.n)
-        timings["identities"] = round(time.monotonic() - t0, 3)
+        timings["identities"] = round(time.perf_counter() - t0, 3)
         failed |= any(v["failed"] for v in block["families"].values())
         suites["identities"] = block
     body = {"command": "verify", "n": cfg.n, "suites": suites}
@@ -261,11 +244,11 @@ def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:
     results: dict = {}
     timings: dict = {}
     for coeff in cfg.coeffs:
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
         results[coeff] = _homology_block(data)
         timings[coeff] = {
-            "total": round(time.monotonic() - t0, 3),
+            "total": round(time.perf_counter() - t0, 3),
             "five_term": _rounded(data.timings),
             "peak_rss_kib": {"five_term": peak_rss_kib()},
         }
@@ -284,14 +267,14 @@ def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
     this call, so the next module's harvest starts without them.
     """
     prefix = f"certify-h2 n={cfg.n} {coeff}"
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     pres = harvest(
         cfg.n,
         coeff,
-        families=cfg.family_tags,
+        families=cfg.families,
         progress=lambda msg: print(f"{prefix}: {msg}", file=sys.stderr),
     )
-    t1 = time.monotonic()
+    t1 = time.perf_counter()
     if cfg.cache_dir:
         _atomic_write_text(
             os.path.join(cfg.cache_dir, f"relations-n{cfg.n}-{coeff}.mat"),
@@ -304,11 +287,11 @@ def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
             f"{data.image_rank}: a certified relation row must be wrong"
         )
     cert = h2_certificate(cfg.n, coeff, pres.bound, data=data)
-    t2 = time.monotonic()
+    t2 = time.perf_counter()
     result = {
         "homology": _homology_block(data),
         "harvest": {
-            "families": cfg.family_tags if cfg.family_tags is not None else list(FAMILY_TAGS),
+            "families": cfg.families if cfg.families is not None else list(FAMILY_TAGS),
             "generators": pres.generator_count,
             "matrix": {
                 "rows": pres.matrix.nrows,

@@ -152,34 +152,30 @@ def _eye_small(n: int) -> SmallMatrix:
 
 
 @lru_cache(maxsize=None)
-def letter_action(n: int, coeff: str, s: int) -> SmallMatrix:
-    """Matrix of the coefficient action of the symbol s (signed index) on M.
+def _letter_rows(n: int, coeff: str, s: int) -> tuple:
+    """Matrix of the coefficient action of the symbol s (signed index) on M,
+    as rows of their nonzero (t, v) entries, with None standing for a row of
+    the identity.
 
     Multiplicative in the left-to-right composition order: the action of a
-    word is the product of its letter matrices in reading order.
+    word is the product of its letter matrices in reading order.  On H the
+    symbol acts by the induced matrix of its inverse, the symbol -s; on H*
+    by the transpose of its own induced matrix.
     """
     assert coeff in COEFF_SPACES
-    aut = symbol_aut(n, s)
     if coeff == H:
-        m = induced_matrix(aut.inverse())
+        m = induced_matrix(symbol_aut(n, -s))
     else:
-        m = [list(col) for col in zip(*induced_matrix(aut))]
-    return tuple(tuple(row) for row in m)
-
-
-@lru_cache(maxsize=None)
-def _letter_rows(n: int, coeff: str, s: int) -> tuple:
-    """Rows of letter_action as tuples of their nonzero (t, v) entries, with
-    None standing for a row of the identity."""
+        m = list(zip(*induced_matrix(symbol_aut(n, s))))
     out = []
-    for i, row in enumerate(letter_action(n, coeff, s)):
+    for i, row in enumerate(m):
         entries = tuple((t, v) for t, v in enumerate(row) if v)
         out.append(None if entries == ((i, 1),) else entries)
     return tuple(out)
 
 
 def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
-    """letter_action(n, coeff, s) times m, touching only the letter's
+    """The action of the symbol s times m, touching only the letter's
     nonzero entries; identity rows reuse the row of m as it is."""
     out = []
     for i, entries in enumerate(_letter_rows(n, coeff, s)):
@@ -298,11 +294,15 @@ def d1_matrix(n: int, coeff: str) -> IntMatrix:
     X = gen_count(n)
     out = IntMatrix(n, n * X)
     for s in range(1, X + 1):
-        m = letter_action(n, coeff, s)
         base = (s - 1) * n
-        for i in range(n):
-            for j in range(n):
-                v = m[i][j] - (1 if i == j else 0)
+        for i, entries in enumerate(_letter_rows(n, coeff, s)):
+            if entries is None:
+                continue
+            row = [0] * n
+            for t, v in entries:
+                row[t] = v
+            row[i] -= 1
+            for j, v in enumerate(row):
                 if v:
                     out.data[(i, base + j)] = v
     return out
@@ -956,13 +956,8 @@ TRANSFER_REMARK = (
 
 @dataclass(frozen=True)
 class H2Certificate:
-    n: int
-    coeff: str
     bound: int
-    kernel_rank: int
-    image_rank: int
     image_coker: LModule  # ker(d1) / image, over L
-    profile: tuple[tuple[tuple[int, int], int], ...]
     ok: bool
     reason: str
 
@@ -1003,13 +998,8 @@ def h2_certificate(n: int, coeff: str, bound: int, data: FiveTermData) -> H2Cert
         problems.append(f"generator bound {bound} != image L-rank {data.image_rank}")
     ok = not problems
     return H2Certificate(
-        n=n,
-        coeff=coeff,
         bound=bound,
-        kernel_rank=data.kernel_rank,
-        image_rank=data.image_rank,
         image_coker=coker,
-        profile=divisor_profile(data.image_divisors),
         ok=ok,
         reason="certified" if ok else "; ".join(problems),
     )

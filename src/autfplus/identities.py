@@ -366,9 +366,9 @@ def base_case(n: int, a: int, b: int, c: int, d: int) -> tuple:
               + base_case(n, -a, -b, c, d))
     elif tag == "src-a-inv":
         # not taken from the printed display (which fails certification, see
-        # the ledger): instead solve the sign-flipped-source transport of
-        # E_{b d} -- a source-hit case -- for this target, using
-        # w_{a^-1 b} = w_ab^-1 h_ab.
+        # rejected variant 4 in tests/test_identities.py): instead solve the
+        # sign-flipped-source transport of E_{b d} -- a source-hit case --
+        # for this target, using w_{a^-1 b} = w_ab^-1 h_ab.
         winv = words.inverse(w_xword(n, a, b))
         hf = canon_h(n, a, b)
         tp = base_case(n, -a, b, b, d)
@@ -389,10 +389,10 @@ def base_case(n: int, a: int, b: int, c: int, d: int) -> tuple:
               + _conj_factors(_inv_factors(canon_r(n, c, -b, -a)), u2)
               + _conj_factors(_inv_factors(canon_r(n, c, -a, -b)), u2))
     elif tag == "dst-a-inv":
-        # not taken from the printed display (fails certification, see the
-        # ledger): E_{c a^-1} is the inverse letter of the dst-a case, and
-        # transporting an inverse letter conjugates the inverted transport
-        # by w^-1 g w.
+        # not taken from the printed display (fails certification, see
+        # rejected variant 5 in tests/test_identities.py): E_{c a^-1} is the
+        # inverse letter of the dst-a case, and transporting an inverse
+        # letter conjugates the inverted transport by w^-1 g w.
         w = w_xword(n, a, b)
         g = E(n, c, a)
         u = m(words.inverse(w), g, w)

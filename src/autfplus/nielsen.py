@@ -1,10 +1,11 @@
 """Automorphisms of a rank-n free group.
 
-An Automorphism stores the images of the n basis generators *and* the
-images under the inverse map, so invertibility is witnessed at
-construction time and never needs a search.  Composition is eager: image
-words are fully reduced on the spot, giving canonical forms (thousands of
-relator verifications depend on equality of reduced images being cheap).
+An Automorphism stores the images of the n basis generators.  Every map
+the package builds is a word in Nielsen maps, whose inverses are Nielsen
+maps again (invert the second letter), so no inverse images are kept.
+Composition is eager: image words are fully reduced on the spot, giving
+canonical forms (thousands of relator verifications depend on equality
+of reduced images being cheap).
 
 Conventions fixed once and enforced by tests:
 
@@ -15,7 +16,8 @@ Conventions fixed once and enforced by tests:
   induced_matrix(t) @ induced_matrix(s)``;
 - the coefficient modules carry *left* actions: on the abelianization H
   the action of s is by ``induced_matrix(inverse of s)``, on the dual
-  H* by ``induced_matrix(s)`` transposed (``homology.letter_action``).
+  H* by ``induced_matrix(s)`` transposed (``homology._letter_rows``); the
+  inverse of the symbol with signed index s is the symbol -s.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ Matrix = list[list[int]]
 
 
 class Automorphism:
-    __slots__ = ("rank", "images", "inv_images")
+    __slots__ = ("rank", "images")
 
-    def __init__(self, rank: int, images: Sequence[Word], inv_images: Sequence[Word]):
-        assert len(images) == rank and len(inv_images) == rank
+    def __init__(self, rank: int, images: Sequence[Word]):
+        assert len(images) == rank
         self.rank = rank
         self.images = tuple(images)
-        self.inv_images = tuple(inv_images)
 
     # -- word actions ---------------------------------------------------
 
@@ -42,21 +43,13 @@ class Automorphism:
         """Image of the word w under this automorphism."""
         return _substitute(self.images, w)
 
-    def apply_inverse(self, w: Word) -> Word:
-        return _substitute(self.inv_images, w)
-
     # -- group structure ------------------------------------------------
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self followed by other (left-to-right)."""
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        images = tuple(other.apply(w) for w in self.images)
-        inv_images = tuple(self.apply_inverse(w) for w in other.inv_images)
-        return Automorphism(self.rank, images, inv_images)
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.rank, self.inv_images, self.images)
+        return Automorphism(self.rank, tuple(other.apply(w) for w in self.images))
 
     def is_identity(self) -> bool:
         return all(w == (i + 1,) for i, w in enumerate(self.images))
@@ -89,8 +82,7 @@ def _substitute(table: tuple[Word, ...], w: Word) -> Word:
 
 
 def identity_aut(n: int) -> Automorphism:
-    gens = tuple((i,) for i in range(1, n + 1))
-    return Automorphism(n, gens, gens)
+    return Automorphism(n, tuple((i,) for i in range(1, n + 1)))
 
 
 def nielsen_aut(n: int, a: int, b: int) -> Automorphism:
@@ -105,19 +97,9 @@ def nielsen_aut(n: int, a: int, b: int) -> Automorphism:
     if not (1 <= abs(a) <= n and 1 <= abs(b) <= n):
         raise ValueError(f"letters {a},{b} outside rank {n}")
     i = abs(a)
-    images = []
-    inv_images = []
-    for k in range(1, n + 1):
-        if k != i:
-            images.append((k,))
-            inv_images.append((k,))
-        elif a > 0:
-            images.append(reduce_word((i, b)))
-            inv_images.append(reduce_word((i, -b)))
-        else:
-            images.append(reduce_word((-b, i)))
-            inv_images.append(reduce_word((b, i)))
-    return Automorphism(n, tuple(images), tuple(inv_images))
+    images = [(k,) for k in range(1, n + 1)]
+    images[i - 1] = reduce_word((i, b) if a > 0 else (-b, i))
+    return Automorphism(n, images)
 
 
 def monomial_letter_perm(a: int, b: int, c: int) -> int:

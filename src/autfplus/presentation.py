@@ -146,7 +146,6 @@ def eval_xword(n: int, xw: Word) -> Automorphism:
     return out
 
 
-@lru_cache(maxsize=None)
 def is_relator_elt(n: int, xw: Word) -> bool:
     return eval_xword(n, xw).is_identity()
 

@@ -60,7 +60,6 @@ def test_parse_config_defaults():
     assert cfg.coeff == "both"
     assert cfg.coeffs == ("H", "Hdual")
     assert cfg.families is None
-    assert cfg.family_tags is None
     assert cfg.threads == 1
     assert cfg.cache_dir is None
     assert cfg.out is None
@@ -97,11 +96,17 @@ def test_parse_config_rejects_bad_thread_count():
         parse_config(["homology", "--n", "3", "--threads", "0"])
 
 
-def test_family_filter_splits_suite_and_harvest_tokens():
-    cfg = parse_config(["certify-h2", "--n", "3", "--families", "F1,lemmas,F6"])
-    assert cfg.families == ("F1", "lemmas", "F6")
-    # only the F-tags reach the harvest
-    assert cfg.family_tags == ("F1", "F6")
+def test_family_filter_splits_suite_and_harvest_tokens(capsys):
+    cfg = parse_config(["certify-h2", "--n", "3", "--families", "F1,F6"])
+    assert cfg.families == ("F1", "F6")
+    # --families takes harvest F-tags only; the verify suites are chosen by
+    # --suite.  A suite token or an empty list would harvest nothing, so
+    # each is a config error
+    for families in ("lemmas", "F1,lemmas,F6", "presentations", ","):
+        code, out, err = run_cli(capsys, "certify-h2", "--n", "3", "--coeff", "H", "--families", families)
+        assert code == EXIT_CONFIG, families
+        assert out == ""
+        assert "config error" in err
 
 
 def test_bad_invocations_exit_with_config_code(capsys):
@@ -110,6 +115,9 @@ def test_bad_invocations_exit_with_config_code(capsys):
         ["frobnicate", "--n", "3"],
         ["homology"],  # missing --n
         ["homology", "--n", "3", "--coeff", "Z"],
+        # options a command would ignore are not parsed
+        ["homology", "--n", "3", "--families", "F1"],
+        ["verify", "--n", "3", "--cache-dir", "cache"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG, argv
@@ -150,14 +158,16 @@ def test_verify_suite_selection(capsys):
     assert code == EXIT_OK
     assert set(load_report(out)["body"]["suites"]) == {"identities"}
 
-    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--families", "presentations")
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--suite", "presentation")
     assert code == EXIT_OK
     assert set(load_report(out)["body"]["suites"]) == {"presentation"}
 
-    # harvest-only tokens do not restrict the verify suites
-    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--families", "F2", "--suite", "presentation")
-    assert code == EXIT_OK
-    assert set(load_report(out)["body"]["suites"]) == {"presentation"}
+    # --suite alone selects: verify takes no --families
+    for families in ("presentations", "lemmas", "F2"):
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--families", families)
+        assert code == EXIT_CONFIG, families
+        assert out == ""
+        assert "config error" in err
 
 
 # -- report envelope ---------------------------------------------------
@@ -406,6 +416,27 @@ def test_report_hash_matches_benchmark_expectation(capsys, command, n):
     assert load_report(out)["meta"]["report_hash"] == want["report_hash"]
 
 
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_report_hashes_do_not_depend_on_the_hash_seed(tmp_path, seed):
+    # fresh processes, since the seed is fixed at interpreter start;
+    # certify-h2 runs both modules, the run expected.json records
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+    for command in ("verify", "certify-h2"):
+        report = tmp_path / f"{command}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "autfplus.cli", command, "--n", "3", "--out", str(report)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        want = _EXPECTED[command]["3"]
+        assert done.returncode == want["exit"], done.stderr
+        assert json.loads(report.read_text())["meta"]["report_hash"] == want["report_hash"]
+
+
 def test_certify_h2_reports_collection_seconds_per_family(capsys):
     # meta and the progress lines carry per-family seconds; the body and its
     # hash stay as the benchmark recorded them
@@ -485,9 +516,10 @@ def profile(frame, event, arg):
         entered.add(frame.f_code)
 
 sys.setprofile(profile)
-for argv in (["verify", "--n", "3"], ["homology", "--n", "3"],
-             ["certify-h2", "--n", "4", "--coeff", "H"]):
-    main(argv + ["--cache-dir", tmp + "/cache", "--out", tmp + "/report.json"])
+cache = ["--cache-dir", tmp + "/cache"]
+for argv in (["verify", "--n", "3"], ["homology", "--n", "3", *cache],
+             ["certify-h2", "--n", "4", "--coeff", "H", *cache]):
+    main(argv + ["--out", tmp + "/report.json"])
 sys.setprofile(None)
 print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in entered})))
 """

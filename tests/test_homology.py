@@ -48,7 +48,6 @@ from autfplus.homology import (
     five_term_data,
     fox_derivative,
     h2_certificate,
-    letter_action,
     phi_matrix,
     rank_mod_p,
     snf,
@@ -56,6 +55,7 @@ from autfplus.homology import (
     two_adic_split,
 )
 from autfplus.presentation import gen_count, reduced_relators
+from test_nielsen import letter_action
 
 # -- fox calculus -------------------------------------------------------
 
@@ -212,9 +212,10 @@ def test_word_action_is_multiplicative():
             assert word_action(n, coeff, w) == _plain_action(n, coeff, w)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_letter_times_matches_the_plain_product(n):
     # every signed letter, both modules, against the triple-loop product
+    # with the dense oracle, which inverts each induced matrix itself
     rng = random.Random(100 + n)
     X = gen_count(n)
     for coeff in ("H", "Hdual"):
@@ -792,6 +793,35 @@ PHI_SHA256 = {
 @pytest.mark.parametrize("n,coeff", sorted(PHI_SHA256))
 def test_phi_bytes_are_pinned(n, coeff):
     assert phi_matrix(n, coeff).content_hash() == PHI_SHA256[(n, coeff)]
+
+
+# sha256 of repr(list(m.data.items())): the entries *and* their insertion
+# order, which the echelon and the SNF witness bytes depend on
+DATA_ORDER_SHA256 = {
+    (3, "H", "d1"): "86d2334741a271673a3a4883f8ddac48d255f7db6dc0ed3f4a3f6b33fc60a1b8",
+    (3, "H", "phi"): "8a2dc56f66de798cb0fdc636b2e979906f218a7fdc2903bddd856a5151338d3d",
+    (3, "Hdual", "d1"): "72a0d190c38ec438a6675133070a9f3139a01564d987b072851a8377962f9610",
+    (3, "Hdual", "phi"): "d8c3417b750601ad4a77cb92b8c7717f58dce637600732926d26510debd45ebc",
+    (4, "H", "d1"): "ed51b4ea79fbe0fe116aebe379d32cf2a7ce1c46e67fc1f5471b5d2cb5276a56",
+    (4, "H", "phi"): "39cc014a9ec8d6b288cdcdb61b0a7a4ac5142ef9bb884ca4447b6875bbf55910",
+    (4, "Hdual", "d1"): "4a4968cee336a2828d223cb16f9260d35497aafe3cb14e67287121b2a902cff5",
+    (4, "Hdual", "phi"): "720c0cd340cb8a9946433a4b10f5abcda9b571be093efe5f8c18f0884cb63672",
+    (5, "H", "d1"): "c1888b61e662964e4a8f91f51ed61e44cdf2869d60239f9d44941f8ef875df71",
+    (5, "H", "phi"): "b83ce6bbf6eb6524128d1396b99f4499de382cada5efd57eb7572bc366cd3885",
+    (5, "Hdual", "d1"): "695ecf8e438e6ebdbdf2e5dd8a22caaa3462552892b2cd51c58482fe3c26ed68",
+    (5, "Hdual", "phi"): "3274cfc23326f3e41448d804e994da538aa3637e0af580bea1c22820ca143b60",
+    (6, "H", "d1"): "732b1c45554798af32d860d9c117a5dfa804873c4bcb70c02673ba5098f6ae3c",
+    (6, "H", "phi"): "8e4976c3e7a61464fa2f56bf0c31a4187d76c93814212fe52400e1c63fb90b09",
+    (6, "Hdual", "d1"): "02a20e1db9bdbb9fb748b3c60fc98e69e050b61e7081aae4582a2d542fb5ab2a",
+    (6, "Hdual", "phi"): "cd6050b268518212ad01866b91b6d3615c713f30b2905bcb9c38ab9181c4ce9c",
+}
+
+
+@pytest.mark.parametrize("n,coeff,name", sorted(DATA_ORDER_SHA256))
+def test_d1_and_phi_insertion_order_is_pinned(n, coeff, name):
+    m = {"d1": d1_matrix, "phi": phi_matrix}[name](n, coeff)
+    digest = hashlib.sha256(repr(list(m.data.items())).encode()).hexdigest()
+    assert digest == DATA_ORDER_SHA256[(n, coeff, name)]
 
 
 def test_left_derivative_columns_break_the_chain_condition():

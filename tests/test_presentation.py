@@ -24,7 +24,7 @@ from autfplus.presentation import (
     twist_xword,
     w_xword,
 )
-from autfplus.words import multiply
+from autfplus.words import inverse, multiply
 
 EXPECTED_RELATOR_COUNTS = {3: 66, 4: 300, 5: 900, 6: 2130}
 
@@ -96,7 +96,7 @@ def test_w_and_h_words_evaluate_correctly():
     n = 4
     w = eval_xword(n, w_xword(n, 1, 2))
     # the monomial map x1 -> x2^-1, x2 -> x1
-    assert w == Automorphism(n, [(-2,), (1,), (3,), (4,)], [(2,), (-1,), (3,), (4,)])
+    assert w == Automorphism(n, [(-2,), (1,), (3,), (4,)])
     # the square of the swap inverts both letters; the h-word measures
     # exactly that and is itself a relator element
     w2 = w.compose(w)
@@ -111,6 +111,6 @@ def test_twist_is_conjugation_by_the_monomial_word():
     for xw in [embed_E(n, 3, 1), embed_E(n, 1, 2), multiply(embed_E(n, 2, 3), embed_E(n, 4, -1))]:
         tw = twist_xword(n, 1, 2, xw)
         lhs = eval_xword(n, tw)
-        rhs = w.inverse().compose(eval_xword(n, xw)).compose(w)
+        rhs = eval_xword(n, inverse(w_xword(n, 1, 2))).compose(eval_xword(n, xw)).compose(w)
         assert lhs == rhs
 
