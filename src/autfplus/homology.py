@@ -27,6 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -152,45 +153,39 @@ def _eye_small(n: int) -> SmallMatrix:
 
 
 @lru_cache(maxsize=None)
-def _letter_rows(n: int, coeff: str, s: int) -> tuple:
-    """Matrix of the coefficient action of the symbol s (signed index) on M,
-    as rows of their nonzero (t, v) entries, with None standing for a row of
-    the identity.
+def _transvection(n: int, coeff: str, s: int) -> tuple:
+    """The coefficient action of the symbol s (signed index) on M as the
+    transvection (i, j, op): row i of its matrix is e_i op e_j, with op
+    `add` or `sub`, and every other row is that of the identity.
 
     Multiplicative in the left-to-right composition order: the action of a
     word is the product of its letter matrices in reading order.  On H the
     symbol acts by the induced matrix of its inverse, the symbol -s; on H*
-    by the transpose of its own induced matrix.
+    by the transpose of its own induced matrix.  Any other shape than one
+    such row raises ConsistencyError.
     """
     assert coeff in COEFF_SPACES
     if coeff == H:
         m = induced_matrix(symbol_aut(n, -s))
     else:
         m = list(zip(*induced_matrix(symbol_aut(n, s))))
-    out = []
-    for i, row in enumerate(m):
-        entries = tuple((t, v) for t, v in enumerate(row) if v)
-        out.append(None if entries == ((i, 1),) else entries)
-    return tuple(out)
+    eye = _eye_small(n)
+    moved = [i for i, row in enumerate(m) if tuple(row) != eye[i]]
+    if len(moved) == 1:
+        (i,) = moved
+        row = m[i]
+        off = [(t, v) for t, v in enumerate(row) if v and t != i]
+        if row[i] == 1 and len(off) == 1 and off[0][1] in (1, -1):
+            j, v = off[0]
+            return i, j, add if v == 1 else sub
+    raise ConsistencyError(f"symbol {s} is not a one-row transvection on {coeff}")
 
 
 def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
-    """The action of the symbol s times m, touching only the letter's
-    nonzero entries; identity rows reuse the row of m as it is."""
-    out = []
-    for i, entries in enumerate(_letter_rows(n, coeff, s)):
-        if entries is None:
-            out.append(m[i])
-            continue
-        acc = None
-        for t, v in entries:
-            mt = m[t]
-            if acc is None:
-                acc = mt if v == 1 else [v * x for x in mt]
-            else:
-                acc = [a + v * x for a, x in zip(acc, mt)]
-        out.append(tuple(acc))
-    return tuple(out)
+    """The action of the symbol s times m: m with its row i replaced by
+    m[i] op m[j]; the other rows are those of m, as they are."""
+    i, j, op = _transvection(n, coeff, s)
+    return m[:i] + (tuple(map(op, m[i], m[j])),) + m[i + 1:]
 
 
 # -- sparse integer matrices -------------------------------------------
@@ -294,17 +289,9 @@ def d1_matrix(n: int, coeff: str) -> IntMatrix:
     X = gen_count(n)
     out = IntMatrix(n, n * X)
     for s in range(1, X + 1):
-        base = (s - 1) * n
-        for i, entries in enumerate(_letter_rows(n, coeff, s)):
-            if entries is None:
-                continue
-            row = [0] * n
-            for t, v in entries:
-                row[t] = v
-            row[i] -= 1
-            for j, v in enumerate(row):
-                if v:
-                    out.data[(i, base + j)] = v
+        # (e_i op e_j) - e_i: the one entry op(0, 1) = +-1 at (i, j)
+        i, j, op = _transvection(n, coeff, s)
+        out.data[(i, (s - 1) * n + j)] = op(0, 1)
     return out
 
 
@@ -315,8 +302,8 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
     Column (r, p) carries, in each symbol block x, the evaluated right
     derivative of r with respect to x applied to the p-th basis vector.
 
-    Every letter acts by an elementary transvection: the identity except
-    for one row, which has two entries.  So the action of a suffix w[t:]
+    Every letter acts by an elementary transvection (`_transvection`): the
+    identity except for one row, which has two entries.  So the action of a suffix w[t:]
     differs from the identity in at most len(w) - t rows, and each suffix
     is carried as {row: dense row} over those rows only.  Block x is then
     (signed count of x) * I plus the signed sum of (suffix - I), which is
@@ -332,6 +319,7 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
     X = gen_count(n)
     out = IntMatrix(n * X, n * len(rels))
     data = out.data
+    eye = _eye_small(n)
     for r_idx, rel in enumerate(rels):
         w = rel.word
         s = len(w)
@@ -339,19 +327,9 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
         suffix: list[dict[int, tuple[int, ...]]] = [{}] * (s + 1)
         for t in range(s - 1, -1, -1):
             prev = suffix[t + 1]
+            i, j, op = _transvection(n, coeff, w[t])
             cur = dict(prev)
-            for i, entries in enumerate(_letter_rows(n, coeff, w[t])):
-                if entries is None:
-                    continue
-                acc = [0] * n
-                for k, v in entries:
-                    row = prev.get(k)
-                    if row is None:
-                        acc[k] += v
-                    else:
-                        for j in range(n):
-                            acc[j] += v * row[j]
-                cur[i] = tuple(acc)
+            cur[i] = tuple(map(op, prev.get(i) or eye[i], prev.get(j) or eye[j]))
             suffix[t] = cur
         counts: dict[int, int] = {}
         deltas: dict[int, dict[int, list[int]]] = {}

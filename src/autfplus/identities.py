@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import neg
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import words
 from .words import Word
@@ -86,10 +86,9 @@ def _sound_labels(n: int) -> frozenset:
 # -- formal conjugated-relator products --------------------------------
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One ``u r^{+-1} u^-1`` term of a relator expression; ``relator`` is
-    a canonical label."""
+    a canonical label and ``conj`` a reduced word."""
 
     conj: Word
     relator: str
@@ -99,7 +98,13 @@ class Factor:
         return Factor(self.conj, self.relator, -self.exponent)
 
     def conjugated(self, u: Word) -> "Factor":
-        return Factor(words.multiply(u, self.conj), self.relator, self.exponent)
+        # u and conj are reduced, so their product cancels only at the
+        # junction, and is spliced there
+        c = self.conj
+        k, m = 0, min(len(u), len(c))
+        while k < m and u[-1 - k] == -c[k]:
+            k += 1
+        return Factor(u[:len(u) - k] + c[k:], self.relator, self.exponent)
 
 
 def _inv_factors(fs: Sequence[Factor]) -> tuple:

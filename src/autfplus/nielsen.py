@@ -16,7 +16,7 @@ Conventions fixed once and enforced by tests:
   induced_matrix(t) @ induced_matrix(s)``;
 - the coefficient modules carry *left* actions: on the abelianization H
   the action of s is by ``induced_matrix(inverse of s)``, on the dual
-  H* by ``induced_matrix(s)`` transposed (``homology._letter_rows``); the
+  H* by ``induced_matrix(s)`` transposed (``homology._transvection``); the
   inverse of the symbol with signed index s is the symbol -s.
 """
 

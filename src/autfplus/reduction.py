@@ -80,6 +80,14 @@ def generator_count_E(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _column_ints(n: int) -> tuple[int, ...]:
+    """The column indices of E as one int object each, shared as keys by
+    every relation row and every entry the eliminator fills in: less
+    memory, and dict lookups that match on identity."""
+    return tuple(range(generator_count_E(n)))
+
+
+@lru_cache(maxsize=None)
 def _family_rank_by_col(n: int) -> tuple:
     # Elimination steering: kill 4th powers first, then commuting pairs,
     # then inverse-pair products, leaving the triangle relators to survive.
@@ -149,13 +157,14 @@ def relation_from_null(
                                      blocks.get(f.relator, zero),
                                      chain.from_iterable(fold_matrix(n, coeff, f.conj, memo))))
     order = relator_index(n)
+    cols = _column_ints(n)
     rows: list[dict[int, int]] = [dict() for _ in range(n)]
     for rel, acc in blocks.items():
         base = order[rel] * n
         for k, v in enumerate(acc):
             if v:
                 i, p = divmod(k, n)
-                rows[p][base + i] = v
+                rows[p][cols[base + i]] = v
     return rows
 
 

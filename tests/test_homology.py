@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_decomp
 
-from autfplus import words
+from autfplus import homology, words
 from autfplus.homology import (
     CROSS_CHECK_PRIMES,
     ConsistencyError,
@@ -41,6 +41,7 @@ from autfplus.homology import (
     _dense,
     _letter_times,
     _lmodule_from_cokernel,
+    _transvection,
     check_chain_condition,
     column_echelon,
     d1_matrix,
@@ -212,7 +213,7 @@ def test_word_action_is_multiplicative():
             assert word_action(n, coeff, w) == _plain_action(n, coeff, w)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_letter_times_matches_the_plain_product(n):
     # every signed letter, both modules, against the triple-loop product
     # with the dense oracle, which inverts each induced matrix itself
@@ -223,6 +224,31 @@ def test_letter_times_matches_the_plain_product(n):
             for _ in range(3):
                 m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
                 assert _letter_times(n, coeff, s, m) == _matmul(letter_action(n, coeff, s), m)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_d1_blocks_are_the_dense_letter_actions_minus_the_identity(n):
+    X = gen_count(n)
+    for coeff in ("H", "Hdual"):
+        want = IntMatrix(n, n * X)
+        for s in range(1, X + 1):
+            m = letter_action(n, coeff, s)
+            for i in range(n):
+                for j in range(n):
+                    want.set(i, (s - 1) * n + j, m[i][j] - (i == j))
+        assert d1_matrix(n, coeff) == want
+
+
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+@pytest.mark.parametrize("bad", [
+    ((1, 1, 0), (0, 1, 1), (0, 0, 1)),  # moves two rows
+    ((1, 0, 0), (2, 1, 0), (0, 0, 1)),  # one row, but a 2 off the diagonal
+    ((1, 0, 0), (0, 1, 0), (0, -2, 1)),
+], ids=("two-rows", "plus-two", "minus-two"))
+def test_transvection_refuses_any_other_shape(monkeypatch, coeff, bad):
+    monkeypatch.setattr(homology, "induced_matrix", lambda aut: [list(row) for row in bad])
+    with pytest.raises(ConsistencyError, match="one-row transvection"):
+        _transvection.__wrapped__(3, coeff, 1)  # bypass the cache, which stays clean
 
 
 def test_evaluate_ring_elt_is_linear():

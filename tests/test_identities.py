@@ -496,6 +496,43 @@ def test_expand_matches_the_reference_on_generated_expressions(expr):
     assert _inverse(expr).expand() == inverse(_expand_reference(expr))
 
 
+_reduced_words = _conj_words.map(words.reduce_word)
+
+
+@st.composite
+def _conjugations(draw):
+    """(c, u), both reduced, with u drawn to meet c in each way the splice
+    can: no cancellation, u = c^-1, part of c cancelled, c a prefix of u^-1."""
+    c = draw(_reduced_words)
+    x, y = draw(_reduced_words), draw(_reduced_words)
+    k = draw(st.integers(0, len(c)))
+    u = draw(st.sampled_from((
+        x,
+        inverse(c),
+        x + inverse(c[:k]),
+        inverse(c + y),
+    )))
+    return c, words.reduce_word(u)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conjugations(), st.sampled_from(_LABELS4), st.sampled_from((1, -1)))
+def test_factor_conjugated_splices_to_the_reduced_product(cu, label, e):
+    c, u = cu
+    got = Factor(c, label, e).conjugated(u)
+    assert got == Factor(words.multiply(u, c), label, e)
+    assert got.conj == words.reduce_word(got.conj)
+
+
+def test_factor_is_immutable_and_hashable():
+    f = Factor((1, -2), "R4-1(1,2)", 1)
+    with pytest.raises(AttributeError):
+        f.conj = ()
+    assert hash(f) == hash(Factor((1, -2), "R4-1(1,2)", 1))
+    assert len({f, Factor((1, -2), "R4-1(1,2)", 1), f.inverse()}) == 2
+    assert f.conjugated(()) == f and f.inverse().inverse() == f
+
+
 def test_a_null_with_another_instances_transport_is_not_verified(monkeypatch):
     # the null residuals trust the transport word they are handed; one taken
     # from another instance (certified for its own V) must leave a residual

@@ -40,6 +40,7 @@ from autfplus.reduction import (
     _account,
     _audit_elimination,
     _collect_rows,
+    _column_ints,
     _compact_matrix,
     _merge,
     _normalize_row,
@@ -700,6 +701,19 @@ def test_harvest_keeps_one_fold_memo_per_family_and_releases_the_dedup_index(mon
         assert set(memo) == prefixes
     store, _, _ = collect(3, "Hdual")
     assert store._index is None and store.rows
+
+
+@pytest.mark.parametrize("coeff", COEFF_SPACES)
+def test_rows_share_one_int_per_column(coeff):
+    # every key of every collected row, and of every pivot and residual row
+    # the eliminator leaves, is the column's own int object
+    n = 4
+    cols = _column_ints(n)
+    store, _, _ = collect(n, coeff)
+    assert all(c is cols[c] for row in store.rows for c in row)
+    elim = ExactEliminator(n, generator_count_E(n), store.rows)
+    _, residual = elim.finish()
+    assert all(c is cols[c] for row in elim.pivot_rows + residual for c in row)
 
 
 # -- the elimination audit ---------------------------------------------
