@@ -9,7 +9,8 @@ runs and thread counts, hashed into meta.report_hash) and a
 non-normative `meta` (timings, environment).
 
 Exit codes: 0 success; 2 verification or internal-consistency failure;
-3 generator bound not reached; 64 bad configuration.
+3 generator bound not reached; 64 bad configuration, including an output
+path that cannot be written (checked before any work).
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ def build_parser() -> _Parser:
     return p
 
 
+def _non_directory_on(path: str) -> str | None:
+    """The nearest existing one of path and its ancestors, if it is not a
+    directory: then no directory can be made at path."""
+    p = os.path.abspath(path)
+    while not os.path.exists(p):
+        p = os.path.dirname(p)
+    return None if os.path.isdir(p) else p
+
+
 def parse_config(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     if args.n < 3:
@@ -124,10 +134,21 @@ def parse_config(argv=None) -> RunConfig:
         unknown = [t for t in families if t not in FAMILY_TAGS]
         if unknown:
             raise ConfigError(f"unknown family tags: {','.join(unknown)}")
+        repeated = sorted({t for t in families if families.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"repeated family tags: {','.join(repeated)}")
         if not families:
             raise ConfigError("--families names no family")
     if args.threads < 1:
         raise ConfigError("threads must be >= 1")
+    # paths the run would fail to write only after all its work
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir and (bad := _non_directory_on(cache_dir)):
+        raise ConfigError(f"--cache-dir {cache_dir}: {bad} exists and is not a directory")
+    if args.out and os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
+    if args.out and (bad := _non_directory_on(os.path.dirname(os.path.abspath(args.out)))):
+        raise ConfigError(f"--out {args.out}: {bad} exists and is not a directory")
     return RunConfig(
         command=args.command,
         n=args.n,
@@ -135,7 +156,7 @@ def parse_config(argv=None) -> RunConfig:
         suite=getattr(args, "suite", "all"),
         families=families,
         threads=args.threads,
-        cache_dir=getattr(args, "cache_dir", None),
+        cache_dir=cache_dir,
         out=args.out,
     )
 

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from operator import neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import words
 from .words import Word
 from .nielsen import monomial_letter_perm
 from .presentation import (
-    _signed_letters,
     check_rank,
     embed_E,
     format_xword,
@@ -35,6 +34,7 @@ from .presentation import (
     letters_of_symbol,
     r_xword,
     reduced_relators,
+    signed_tuples,
     twist_xword,
     w_xword,
 )
@@ -318,8 +318,25 @@ BASE_CASES = ("src-hit", "src-a-inv", "src-b-inv", "dst-a", "dst-a-inv",
               "dst-b", "dst-b-inv", "disjoint")
 
 
+def meets_at_most_once(a: int, b: int, letters: Sequence[int]) -> bool:
+    """Whether the indices of the letters meet those of the transport pair
+    (a, b) at most once: the instances a transport is built for."""
+    return len({abs(a), abs(b)}.intersection(map(abs, letters))) <= 1
+
+
+def transport_instances(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """(a, b, *letters) for every transport pair (a, b) and k letters with
+    pairwise distinct indices that meet it at most once, in the order of
+    nested loops over a, b and the letters."""
+    letters = list(signed_tuples(n, k))
+    for a, b in signed_tuples(n, 2):
+        for t in letters:
+            if meets_at_most_once(a, b, t):
+                yield (a, b, *t)
+
+
 def base_case_tag(a: int, b: int, c: int, d: int) -> str:
-    if len({abs(c), abs(d)} & {abs(a), abs(b)}) > 1:
+    if not meets_at_most_once(a, b, (c, d)):
         raise ValueError(f"double overlap: pair ({a},{b}) letter ({c},{d})")
     if c == a or c == b:
         return "src-hit"
@@ -496,25 +513,31 @@ def _null_certificate(
     return IdentityCertificate((), null, words.multiply(*(w for _, w in pieces)))
 
 
+def _transport_null(n: int, a: int, b: int, V: Word,
+                    canon: Callable[..., tuple],
+                    letters: tuple) -> IdentityCertificate:
+    """Null expression transporting the relator V, rewritten canonically by
+    canon(n, *letters), around the monomial word of (a, b): conjugate of the
+    relator, times its transport, times the inverse of the twisted relator,
+    reduces to 1."""
+    winv = words.inverse(w_xword(n, a, b))
+    X = RelatorExpression(n, _conj_factors(canon(n, *letters), winv))
+    C = canon(n, *(monomial_letter_perm(a, b, x) for x in letters))
+    return _null_certificate(_expanded(X), _transport(n, a, b, V),
+                             _expanded(RelatorExpression(n, _inv_factors(C))))
+
+
 def eq21_null(n: int, a: int, b: int, c: int, d: int,
               e: int) -> IdentityCertificate:
     """Null expression transporting the triangle relator r_{c d}(e) around
-    the monomial word of (a, b): conjugate of the relator, times its
-    transport, times the inverse of the twisted relator, reduces to 1.
-    """
+    the monomial word of (a, b)."""
     if len({abs(c), abs(d), abs(e)}) != 3:
         raise ValueError(f"triangle letters must be distinct: {c},{d},{e}")
     if abs(a) == abs(b):
         raise ValueError(f"invalid transport pair ({a},{b})")
-    if len({abs(c), abs(d), abs(e)} & {abs(a), abs(b)}) > 1:
+    if not meets_at_most_once(a, b, (c, d, e)):
         raise ValueError("triangle letters meet the transport pair twice")
-    V = r_xword(n, c, d, e)
-    winv = words.inverse(w_xword(n, a, b))
-    X = RelatorExpression(n, _conj_factors(canon_r(n, c, d, e), winv))
-    C = canon_r(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d),
-                monomial_letter_perm(a, b, e))
-    return _null_certificate(_expanded(X), _transport(n, a, b, V),
-                             _expanded(RelatorExpression(n, _inv_factors(C))))
+    return _transport_null(n, a, b, r_xword(n, c, d, e), canon_r, (c, d, e))
 
 
 def eq41_null(n: int, a: int, b: int, c: int, d: int) -> IdentityCertificate:
@@ -522,14 +545,9 @@ def eq41_null(n: int, a: int, b: int, c: int, d: int) -> IdentityCertificate:
     the monomial word of (a, b)."""
     if abs(c) == abs(d) or abs(a) == abs(b):
         raise ValueError(f"invalid letter pairs ({a},{b}), ({c},{d})")
-    if len({abs(c), abs(d)} & {abs(a), abs(b)}) > 1:
+    if not meets_at_most_once(a, b, (c, d)):
         raise ValueError("pair letters meet the transport pair twice")
-    V = h_xword(n, c, d)
-    winv = words.inverse(w_xword(n, a, b))
-    X = RelatorExpression(n, _conj_factors(canon_h(n, c, d), winv))
-    C = canon_h(n, monomial_letter_perm(a, b, c), monomial_letter_perm(a, b, d))
-    return _null_certificate(_expanded(X), _transport(n, a, b, V),
-                             _expanded(RelatorExpression(n, _inv_factors(C))))
+    return _transport_null(n, a, b, h_xword(n, c, d), canon_h, (c, d))
 
 
 def power_split_null(n: int, i: int, j: int, k: int) -> IdentityCertificate:
@@ -565,104 +583,57 @@ class SuiteEntry:
 
 
 def _base_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed_letters(n):
-        for b in _signed_letters(n):
-            if abs(a) == abs(b):
-                continue
-            for c in _signed_letters(n):
-                for d in _signed_letters(n):
-                    if abs(c) == abs(d):
-                        continue
-                    if len({abs(c), abs(d)} & {abs(a), abs(b)}) > 1:
-                        continue
-                    tag = base_case_tag(a, b, c, d)
-                    expr = RelatorExpression(n, base_case(n, a, b, c, d))
-                    target = transport_target(n, a, b, embed_E(n, c, d))
-                    yield SuiteEntry(f"transport-base[{tag}]",
-                                     _fmt_tuple(a, b, c, d),
-                                     certify(target, expr))
+    for a, b, c, d in transport_instances(n, 2):
+        tag = base_case_tag(a, b, c, d)
+        expr = RelatorExpression(n, base_case(n, a, b, c, d))
+        target = transport_target(n, a, b, embed_E(n, c, d))
+        yield SuiteEntry(f"transport-base[{tag}]", _fmt_tuple(a, b, c, d),
+                         certify(target, expr))
 
 
 def _triangle_inversion_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed_letters(n):
-        for c in range(1, n + 1):
-            for b in _signed_letters(n):
-                if len({abs(a), c, abs(b)}) != 3:
-                    continue
-                expr = RelatorExpression(n, canon_r(n, a, -c, b))
-                yield SuiteEntry("triangle-target-inversion",
-                                 _fmt_tuple(a, -c, b),
-                                 certify(r_xword(n, a, -c, b), expr))
+    for a, c, b in signed_tuples(n, 3):
+        if c < 0:
+            continue
+        expr = RelatorExpression(n, canon_r(n, a, -c, b))
+        yield SuiteEntry("triangle-target-inversion", _fmt_tuple(a, -c, b),
+                         certify(r_xword(n, a, -c, b), expr))
 
 
 def _pair_sign_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed_letters(n):
-        for b in _signed_letters(n):
-            if abs(a) == abs(b):
-                continue
-            expr = RelatorExpression(n, canon_h(n, a, b))
-            yield SuiteEntry("pair-swap-sign-cases", _fmt_tuple(a, b),
-                             certify(h_xword(n, a, b), expr))
+    for a, b in signed_tuples(n, 2):
+        expr = RelatorExpression(n, canon_h(n, a, b))
+        yield SuiteEntry("pair-swap-sign-cases", _fmt_tuple(a, b),
+                         certify(h_xword(n, a, b), expr))
 
 
 def _sample_rewrite_entries(n: int) -> Iterator[SuiteEntry]:
     # the corrected single-conjugation rewrite of an inverted-target
     # commuting pair; the version with the misstated right conjugator is
     # exercised (and shown to fail) in the test suite instead.
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            for j in range(1, n + 1):
-                if len({i, k, j}) != 3:
-                    continue
-                lhs = words.commutator(embed_E(n, i, -j), embed_E(n, k, -j))
-                expr = RelatorExpression(
-                    n, canon_commutator(n, (i, -j), (k, -j)))
-                yield SuiteEntry("sample-commutator-rewrite",
-                                 _fmt_tuple(i, j, k), certify(lhs, expr))
+    for i, k, j in permutations(range(1, n + 1), 3):
+        lhs = words.commutator(embed_E(n, i, -j), embed_E(n, k, -j))
+        expr = RelatorExpression(n, canon_commutator(n, (i, -j), (k, -j)))
+        yield SuiteEntry("sample-commutator-rewrite", _fmt_tuple(i, j, k),
+                         certify(lhs, expr))
 
 
 def _triangle_transport_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed_letters(n):
-        for b in _signed_letters(n):
-            if abs(a) == abs(b):
-                continue
-            for c in _signed_letters(n):
-                for d in _signed_letters(n):
-                    for e in _signed_letters(n):
-                        if len({abs(c), abs(d), abs(e)}) != 3:
-                            continue
-                        if len({abs(c), abs(d), abs(e)}
-                               & {abs(a), abs(b)}) > 1:
-                            continue
-                        yield SuiteEntry("triangle-transport",
-                                         _fmt_tuple(a, b, c, d, e),
-                                         eq21_null(n, a, b, c, d, e))
+    for inst in transport_instances(n, 3):
+        yield SuiteEntry("triangle-transport", _fmt_tuple(*inst),
+                         eq21_null(n, *inst))
 
 
 def _pair_transport_entries(n: int) -> Iterator[SuiteEntry]:
-    for a in _signed_letters(n):
-        for b in _signed_letters(n):
-            if abs(a) == abs(b):
-                continue
-            for c in _signed_letters(n):
-                for d in _signed_letters(n):
-                    if abs(c) == abs(d):
-                        continue
-                    if len({abs(c), abs(d)} & {abs(a), abs(b)}) > 1:
-                        continue
-                    yield SuiteEntry("pair-swap-transport",
-                                     _fmt_tuple(a, b, c, d),
-                                     eq41_null(n, a, b, c, d))
+    for inst in transport_instances(n, 2):
+        yield SuiteEntry("pair-swap-transport", _fmt_tuple(*inst),
+                         eq41_null(n, *inst))
 
 
 def _power_split_entries(n: int) -> Iterator[SuiteEntry]:
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) != 3:
-                    continue
-                yield SuiteEntry("fourth-power-halving", _fmt_tuple(i, j, k),
-                                 power_split_null(n, i, j, k))
+    for ijk in permutations(range(1, n + 1), 3):
+        yield SuiteEntry("fourth-power-halving", _fmt_tuple(*ijk),
+                         power_split_null(n, *ijk))
 
 
 SUITE_FAMILIES = (

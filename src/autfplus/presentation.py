@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import words
 from .nielsen import Automorphism, identity_aut, monomial_letter_perm, nielsen_aut
@@ -223,8 +223,11 @@ def relator_index(n: int) -> Mapping[str, int]:
 # -- classical letter-pair presentation (small-rank cross-checks) -------
 
 
-def _signed_letters(n: int) -> list[int]:
-    return [s * i for i in range(1, n + 1) for s in (1, -1)]
+def signed_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """k-tuples of signed letters with pairwise distinct indices, in the
+    order of k nested loops over the letters 1, -1, 2, -2, ..., n, -n."""
+    letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
+    return (t for t in product(letters, repeat=k) if len(set(map(abs, t))) == k)
 
 
 def gersten_relators(n: int) -> list[tuple[str, Word]]:
@@ -233,37 +236,19 @@ def gersten_relators(n: int) -> list[tuple[str, Word]]:
     are kept as empty-word sanity rows)."""
     check_rank(n)
     E = lambda a, b: embed_E(n, a, b)
+    pairs = list(signed_tuples(n, 2))
     out: list[tuple[str, Word]] = []
-    lets = _signed_letters(n)
-    for a in lets:
-        for b in lets:
-            if abs(a) == abs(b):
-                continue
-            out.append((f"R1({a},{b})", words.multiply(E(a, b), E(a, -b))))
-    for a in lets:
-        for b in lets:
-            if abs(a) == abs(b):
-                continue
-            for c in lets:
-                for d in lets:
-                    if abs(c) == abs(d):
-                        continue
-                    if a == c or a == d or a == -d or b == c or b == -c:
-                        continue
-                    out.append((f"R2({a},{b},{c},{d})",
-                                words.commutator(E(a, b), E(c, d))))
-    for a in lets:
-        for b in lets:
-            for c in lets:
-                if len({abs(a), abs(b), abs(c)}) != 3:
-                    continue
-                out.append((f"R3({a},{b},{c})", r_xword(n, a, c, b)))
-    for a in lets:
-        for b in lets:
-            if abs(a) == abs(b):
-                continue
-            out.append((f"R4({a},{b})", h_xword(n, a, b)))
-            out.append((f"R5({a},{b})", words.power(w_xword(n, a, b), 4)))
+    for a, b in pairs:
+        out.append((f"R1({a},{b})", words.multiply(E(a, b), E(a, -b))))
+    for (a, b), (c, d) in product(pairs, repeat=2):
+        if a == c or a == d or a == -d or b == c or b == -c:
+            continue
+        out.append((f"R2({a},{b},{c},{d})", words.commutator(E(a, b), E(c, d))))
+    for a, b, c in signed_tuples(n, 3):
+        out.append((f"R3({a},{b},{c})", r_xword(n, a, c, b)))
+    for a, b in pairs:
+        out.append((f"R4({a},{b})", h_xword(n, a, b)))
+        out.append((f"R5({a},{b})", words.power(w_xword(n, a, b), 4)))
     return out
 
 

@@ -25,7 +25,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations, product
 from math import gcd
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -57,6 +57,7 @@ from .identities import (
     certify,
     eq21_null,
     eq41_null,
+    meets_at_most_once,
     power_split_null,
 )
 from .nielsen import COEFF_SPACES
@@ -188,14 +189,8 @@ def _ladder_factors(n: int, body: Word, z: int) -> tuple | None:
 
 
 def _f1_power_halving(n: int) -> NullStream:
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                yield (i, j, k), power_split_null(n, i, j, k)
+    for ijk in permutations(range(1, n + 1), 3):
+        yield ijk, power_split_null(n, *ijk)
 
 
 def _f2_commutation_ladders(n: int) -> NullStream:
@@ -215,25 +210,19 @@ def _f2_commutation_ladders(n: int) -> NullStream:
     # (b) ladders over inverted monomial words against a disjoint symbol:
     # w^-1 z w = z T^-1 with T the certified single-letter transport, so
     # the ladder and the conjugated transport cancel.
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if b == a:
-                continue
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    body = words.inverse(w_xword(n, sa * a, sb * b))
-                    for z in signed:
-                        c, d = letters_of_symbol(n, z)
-                        if {abs(c), abs(d)} & {a, b}:
-                            continue
-                        ladder = _ladder_factors(n, body, z)
-                        if ladder is None:
-                            continue
-                        T = base_case(n, sa * a, sb * b, c, d)
-                        null = RelatorExpression(
-                            n, ladder + _conj_factors(T, (z,))
-                        )
-                        yield (sa * a, sb * b, z), certify((), null)
+    for a, b in permutations(range(1, n + 1), 2):
+        for sa, sb in product((1, -1), repeat=2):
+            body = words.inverse(w_xword(n, sa * a, sb * b))
+            for z in signed:
+                c, d = letters_of_symbol(n, z)
+                if {abs(c), abs(d)} & {a, b}:
+                    continue
+                ladder = _ladder_factors(n, body, z)
+                if ladder is None:
+                    continue
+                T = base_case(n, sa * a, sb * b, c, d)
+                null = RelatorExpression(n, ladder + _conj_factors(T, (z,)))
+                yield (sa * a, sb * b, z), certify((), null)
 
 
 # Transport shapes for the triangle relators: (transport pair | triangle),
@@ -257,54 +246,40 @@ _EQ21_SHAPES: tuple[tuple[tuple[str, int], ...], ...] = (
 
 
 def _f3_conjugation_transport(n: int) -> NullStream:
-    idx = range(1, n + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    if len({i, j, k, l}) != 4:
-                        continue
-                    env = {"i": i, "j": j, "k": k, "l": l}
-                    for shape in _EQ21_SHAPES:
-                        a, b, c, d, e = (s * env[v] for v, s in shape)
-                        yield (a, b, c, d, e), eq21_null(n, a, b, c, d, e)
+    for ijkl in permutations(range(1, n + 1), 4):
+        env = dict(zip("ijkl", ijkl))
+        for shape in _EQ21_SHAPES:
+            inst = tuple(s * env[v] for v, s in shape)
+            yield inst, eq21_null(n, *inst)
 
 
 def _f4_h_transport(n: int) -> NullStream:
-    idx = range(1, n + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3:
-                    continue
-                yield (k, -i, i, j), eq41_null(n, k, -i, i, j)
-                yield (k, i, i, j), eq41_null(n, k, i, i, j)
+    for i, j, k in permutations(range(1, n + 1), 3):
+        yield (k, -i, i, j), eq41_null(n, k, -i, i, j)
+        yield (k, i, i, j), eq41_null(n, k, i, i, j)
 
 
 def _f5_basis_change(n: int) -> NullStream:
     """Two routes to the same single-letter transport: the direct base case
     against the append-inverse-pair route through the sign-flipped pair."""
     X = gen_count(n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if b == a:
+    for a, b in permutations(range(1, n + 1), 2):
+        winv = words.inverse(w_xword(n, a, b))
+        hf = canon_h(n, a, b)
+        for z in range(1, X + 1):
+            c, d = letters_of_symbol(n, z)
+            if not meets_at_most_once(a, b, (c, d)):
                 continue
-            winv = words.inverse(w_xword(n, a, b))
-            hf = canon_h(n, a, b)
-            for z in range(1, X + 1):
-                c, d = letters_of_symbol(n, z)
-                if len({abs(c), abs(d)} & {a, b}) > 1:
-                    continue
-                if base_case_tag(a, b, c, d) == "src-hit":
-                    continue  # the direct case IS the append route there
-                direct = base_case(n, a, b, c, d)
-                route = (
-                    _conj_factors(hf, words.multiply(winv, embed_E(n, c, -d)))
-                    + _conj_factors(_inv_factors(hf), winv)
-                    + base_case(n, -a, -b, c, d)
-                )
-                null = RelatorExpression(n, direct + _inv_factors(route))
-                yield (a, b, c, d), certify((), null)
+            if base_case_tag(a, b, c, d) == "src-hit":
+                continue  # the direct case IS the append route there
+            direct = base_case(n, a, b, c, d)
+            route = (
+                _conj_factors(hf, words.multiply(winv, embed_E(n, c, -d)))
+                + _conj_factors(_inv_factors(hf), winv)
+                + base_case(n, -a, -b, c, d)
+            )
+            null = RelatorExpression(n, direct + _inv_factors(route))
+            yield (a, b, c, d), certify((), null)
 
 
 def _f6_h_sign_chains(n: int) -> NullStream:
@@ -315,22 +290,19 @@ def _f6_h_sign_chains(n: int) -> NullStream:
     in the run to certify the table and to document that it carries no
     independent row content.
     """
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if b == a:
-                continue
-            winv = words.inverse(w_xword(n, a, b))
-            for sa, sb in ((-1, 1), (1, -1), (-1, -1)):
-                direct = canon_h(n, sa * a, sb * b)
-                via: tuple = canon_h(n, a, b)
-                if (sa, sb) == (-1, 1):
-                    via = _conj_factors(via, winv)
-                elif (sa, sb) == (1, -1):
-                    via = _conj_factors(_inv_factors(via), winv)
-                else:
-                    via = _inv_factors(via)
-                null = RelatorExpression(n, direct + _inv_factors(via))
-                yield (sa * a, sb * b), certify((), null)
+    for a, b in permutations(range(1, n + 1), 2):
+        winv = words.inverse(w_xword(n, a, b))
+        for sa, sb in ((-1, 1), (1, -1), (-1, -1)):
+            direct = canon_h(n, sa * a, sb * b)
+            via: tuple = canon_h(n, a, b)
+            if (sa, sb) == (-1, 1):
+                via = _conj_factors(via, winv)
+            elif (sa, sb) == (1, -1):
+                via = _conj_factors(_inv_factors(via), winv)
+            else:
+                via = _inv_factors(via)
+            null = RelatorExpression(n, direct + _inv_factors(via))
+            yield (sa * a, sb * b), certify((), null)
 
 
 FAMILIES: tuple[tuple[str, str, Callable[[int], NullStream]], ...] = (

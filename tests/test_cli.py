@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from autfplus import cli
 from autfplus.cli import (
     EXIT_BOUND,
     EXIT_CONFIG,
@@ -107,6 +108,42 @@ def test_family_filter_splits_suite_and_harvest_tokens(capsys):
         assert code == EXIT_CONFIG, families
         assert out == ""
         assert "config error" in err
+
+
+def test_repeated_family_tag_is_a_config_error(capsys):
+    # a repeated tag would be reported twice in the body but harvested once
+    with pytest.raises(ConfigError, match="repeated family tags: F1"):
+        parse_config(["certify-h2", "--n", "3", "--families", "F1,F1,F2"])
+    code, out, err = run_cli(capsys, "certify-h2", "--n", "3", "--families", "F2,F1, F2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "repeated family tags: F2" in err
+
+
+def test_unusable_output_paths_are_config_errors(capsys, tmp_path, monkeypatch):
+    # each is refused before any work: a run that got that far would end
+    # in a traceback after computing everything
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    for argv in (
+        ["homology", "--n", "3", "--cache-dir", str(a_file)],
+        ["certify-h2", "--n", "3", "--cache-dir", str(a_file)],
+        ["homology", "--n", "3", "--cache-dir", str(a_file / "cache")],
+        ["homology", "--n", "3", "--out", str(tmp_path)],
+        ["verify", "--n", "3", "--out", str(tmp_path)],
+        ["certify-h2", "--n", "3", "--out", str(tmp_path)],
+        ["verify", "--n", "3", "--out", str(a_file / "sub" / "report.json")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG, argv
+        assert out == ""
+        assert "config error" in err and str(tmp_path) in err
+    # directories that do not exist yet are made by the run
+    new = str(tmp_path / "new" / "cache")
+    cfg = parse_config(["homology", "--n", "3", "--cache-dir", new, "--out", new + "/r.json"])
+    assert (cfg.cache_dir, cfg.out) == (new, new + "/r.json")
+    assert parse_config(["homology", "--n", "3", "--cache-dir", str(tmp_path)]).cache_dir == str(tmp_path)
 
 
 def test_bad_invocations_exit_with_config_code(capsys):

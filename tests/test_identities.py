@@ -10,6 +10,8 @@ into an acceptance -- or vice versa.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -583,3 +585,52 @@ def test_a_bad_factor_in_any_null_piece_raises(monkeypatch, source, build, bad):
         monkeypatch.setattr(identities, source, spoiled)
         with pytest.raises(ValueError, match="exponent must be|unknown relator label"):
             build()
+
+
+# -- the order of the certificate streams --------------------------------
+
+# sha256 of the compact JSON list of instance keys each certificate stream
+# yields, in order: (family, instance) for the identity suite, the instance
+# tuple for the harvest families.  `verify` reports only counts and its
+# first failures, so no report hash pins the order of these streams; the
+# digests do, for any rewrite of how the instances are enumerated.
+STREAM_ORDER_SHA256 = {
+    (3, "transport-base"): "8f5c12240e9cea5853081f936ca269997e3cbdf5307343e618ba46c664b7cc07",
+    (3, "triangle-target-inversion"): "56bb387135a21856f9d4f49be3a6f0783f0044319554f0fbbc1251e0c41f20a3",
+    (3, "pair-swap-sign-cases"): "37ad3706bc1ce90e441e0db896427a8c18c40aac364df6c10e38759085a435c0",
+    (3, "sample-commutator-rewrite"): "bdd474d8faf828b1abb563d487bbcdc5eacfc130ac9b8d0089a9ff626b7d3881",
+    (3, "pair-swap-transport"): "2dee95956b7fc7103169ace87c4efc72138697d2770ac36c8cbaf091f1213620",
+    (3, "fourth-power-halving"): "8da5a9e64869d8bd227c225899955a4d858bc0447d10b02776ed479befc7ba90",
+    (3, "triangle-transport"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (3, "F1"): "e7fcf02522d9ec1f4c599ce5f625d1d76f03865d86fb2ffdf3154f557c1809c0",
+    (3, "F2"): "7340f9349428c1e024f7fc85e3919bd0f93ee38981f70cc0dced00222cb81e3a",
+    (3, "F3"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (3, "F4"): "215d12d963868d6ec235d777f99bee3c4bb9e53ed7c7e280cd4eab4f203aece0",
+    (3, "F5"): "70ecb34dda654fccd795f00fccabaad8e54b5aaf42c0074d8f20befc24589799",
+    (3, "F6"): "37f8cefe85f3e6b72bbeb7ea41ff2b875e04cc0d42b7206edf0dbf53ccf2bfd4",
+    (4, "transport-base"): "500c48d04e0025a608241a4a44552587c00d0f775a0542fe85635b899f6cf912",
+    (4, "triangle-target-inversion"): "371dd6e4d87ba75dab1004fe96cd981c27497b45d6160b3e52487c09a0a11732",
+    (4, "pair-swap-sign-cases"): "549350d721203bd68a7df53f479ceaead9c33a9e42d6736c63228da265f944dd",
+    (4, "sample-commutator-rewrite"): "7a3b2ba93f3d3527a6d8fa30e359434e403fe139339a2bcfa2981c6b02c0a544",
+    (4, "pair-swap-transport"): "3a20beb9773def621a0b787e137979bb78a976ddb808b9a725e474143bbfd1b4",
+    (4, "fourth-power-halving"): "7c6f56e134e74de1fd422ad2e64bf1ca04d08f5f2fb28c541d12b0ce9f52dac5",
+    (4, "triangle-transport"): "b03b07c66da8e0fa87e0637476b50b55bf68f2c2c4b4dba7a7f288f2467ff116",
+    (4, "F1"): "4958825a4aa6cf7a55fc63f94d0687a1dac7576c14ab14511859deb4d4fcfad2",
+    (4, "F2"): "c21a8ad2e9fbfb3ac8c80ae306b1206535d7145fb0ee5b9fbff0166c64bddbb9",
+    (4, "F3"): "418b463c2a0c89badc81f38ea40062ddf771c5b2d6734d57cf9f62c0449f7c6e",
+    (4, "F4"): "99c8190c8f3a0561360c8af5b5f3fee2c7b131cee1500e69055f0edfe75789c9",
+    (4, "F5"): "c3544b619077e0385e6c53cf88a4dde8c2961cd851ac780988242dfad59be0c9",
+    (4, "F6"): "6ff3f18461a61962f0aff1535347d43843380b8dafb95dd020a288ba12bc4b7c",
+}
+
+_STREAMS = dict(SUITE_FAMILIES) | {tag: builder for tag, _, builder in FAMILIES}
+
+
+@pytest.mark.parametrize("n, stream", sorted(STREAM_ORDER_SHA256))
+def test_certificate_stream_order_is_pinned(n, stream):
+    if stream in dict(SUITE_FAMILIES):
+        keys = [[e.family, e.instance] for e in _STREAMS[stream](n)]
+    else:
+        keys = [list(inst) for inst, _ in _STREAMS[stream](n)]
+    digest = hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
+    assert digest == STREAM_ORDER_SHA256[n, stream]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
 import pytest
@@ -90,6 +92,21 @@ def test_gersten_relators_evaluate_to_identity(n):
     assert rels
     for label, word in rels:
         assert eval_xword(n, word).is_identity(), label
+
+
+# sha256 of the compact JSON list of gersten_relators(n): labels, words and
+# their order.
+GERSTEN_SHA256 = {
+    3: "5fb3b55de5d703d2babb9bdbab81d697c8130b5f1bcc0c6c9cea2a18e04f7382",
+    4: "8e77ef125b65e289722f2783fb64f6adece4b7d589e93cee2b95e4fb2acca172",
+    5: "7d464af2ea9c61f2e6f0ffe5ffe1d44d8477031518bfc9200d0fb74441bb58fb",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GERSTEN_SHA256))
+def test_gersten_relator_order_is_pinned(n):
+    text = json.dumps(gersten_relators(n), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GERSTEN_SHA256[n]
 
 
 def test_w_and_h_words_evaluate_correctly():
