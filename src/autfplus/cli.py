@@ -143,7 +143,9 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError("threads must be >= 1")
     # paths the run would fail to write only after all its work
     cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir and (bad := _non_directory_on(cache_dir)):
+    if cache_dir == "":
+        raise ConfigError("--cache-dir is empty: it must name a directory")
+    if cache_dir is not None and (bad := _non_directory_on(cache_dir)):
         raise ConfigError(f"--cache-dir {cache_dir}: {bad} exists and is not a directory")
     if args.out and os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory")
@@ -296,7 +298,7 @@ def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
         progress=lambda msg: print(f"{prefix}: {msg}", file=sys.stderr),
     )
     t1 = time.perf_counter()
-    if cfg.cache_dir:
+    if cfg.cache_dir is not None:
         _atomic_write_text(
             os.path.join(cfg.cache_dir, f"relations-n{cfg.n}-{coeff}.mat"),
             pres.matrix.dump(),

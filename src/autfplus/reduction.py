@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import gcd
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import presentation, words
@@ -152,11 +152,13 @@ def relation_from_null(
     n = expr.n
     # relator -> its summed fold matrix, flattened row by row
     blocks: dict[str, list[int]] = {}
-    zero = [0] * (n * n)
     for f in expr.factors:
-        blocks[f.relator] = list(map(add if f.exponent == 1 else sub,
-                                     blocks.get(f.relator, zero),
-                                     chain.from_iterable(fold_matrix(n, coeff, f.conj, memo))))
+        m = chain.from_iterable(fold_matrix(n, coeff, f.conj, memo))
+        acc = blocks.get(f.relator)
+        if acc is None:  # a relator's block starts from its first matrix
+            blocks[f.relator] = list(m) if f.exponent == 1 else list(map(neg, m))
+        else:
+            blocks[f.relator] = list(map(add if f.exponent == 1 else sub, acc, m))
     order = relator_index(n)
     cols = _column_ints(n)
     rows: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -393,10 +395,19 @@ _KMAX = 2
 _ELIGIBLE: dict[int, int] = {s << k: k for k in range(_KMAX + 1) for s in (1, -1)}
 
 
-def _merge(row: dict[int, int], piv: dict[int, int], c: int) -> tuple[list[int], list[int]]:
+def _merge(
+    row: dict[int, int],
+    piv: dict[int, int],
+    c: int,
+    rid: int,
+    col_rows: list[set[int]],
+    occ: list[int],
+) -> int:
     """row <- 2^k * row - s*v * piv, clearing column c (pivot entry s*2^k).
 
-    Returns the columns the row lost and the columns it gained.
+    Row rid is `row`: each column it loses or gains leaves or joins the
+    column index `col_rows` and moves its count in `occ`.  Returns the
+    number of columns it gained.
     """
     u = piv[c]
     k = _ELIGIBLE[u]  # the pivot entry is eligible by construction
@@ -405,22 +416,24 @@ def _merge(row: dict[int, int], piv: dict[int, int], c: int) -> tuple[list[int],
         for cc in row:
             row[cc] <<= k
     mult = v if u > 0 else -v
-    lost: list[int] = []
-    gained: list[int] = []
+    fill = 0
     for cc, pv in piv.items():
         old = row.get(cc)
         if old is None:
             row[cc] = -mult * pv
-            gained.append(cc)
+            col_rows[cc].add(rid)
+            occ[cc] += 1
+            fill += 1
         else:
             nv = old - mult * pv
             if nv:
                 row[cc] = nv
             else:
                 del row[cc]
-                lost.append(cc)
+                col_rows[cc].discard(rid)
+                occ[cc] -= 1
     assert c not in row
-    return lost, gained
+    return fill
 
 
 class ExactEliminator:
@@ -436,6 +449,11 @@ class ExactEliminator:
     diagonal; together with the fully reduced residual this preserves the
     L-lattice exactly and justifies counting the bound as
     (columns) - (pivots) - (L-unit divisors of the residual).
+
+    `col_rows[c]` is the set of live rows with an entry at column c, and
+    `occ[c]` is its size, the occupancy every score reads.  Both change
+    together: a retired row leaves them in `_drop_row`, and a merge updates
+    them for each column its row loses or gains.
 
     The pivot search is a lazy heap of (score, k, family, column, row)
     keys.  A popped key is checked against the row's current state: a dead
@@ -463,6 +481,7 @@ class ExactEliminator:
         for rid, row in enumerate(self.rows):
             for c in row:
                 self.col_rows[c].add(rid)
+        self.occ: list[int] = [len(s) for s in self.col_rows]
         self.pivot_cols: list[int] = []
         self.pivot_rows: list[dict[int, int]] = []
         # heap pops by what they found, pushes skipped as already queued,
@@ -475,59 +494,55 @@ class ExactEliminator:
         )
         self._heap: list[tuple] = []
         self._last: list[tuple | None] = [None] * len(self.rows)
-        for rid in range(len(self.rows)):
-            self._push_best(rid)
+        for rid, row in enumerate(self.rows):
+            self._push(rid, row.items())
 
-    def _best_entry(self, rid: int) -> tuple | None:
-        row = self.rows[rid]
+    def _push(self, rid: int, entries: Iterable[tuple[int, int]]) -> None:
+        """Queue the best key of row rid among its (column, value) `entries`,
+        unless it is the row's key already queued or no entry is eligible."""
+        occ = self.occ
         fam = self.fam_rank
         # the score nr * (occ - 1) with nr >= 1 orders like occ, so a column
         # fuller than the best so far is skipped before anything else; a
         # one-entry row has a single candidate, so the order does not matter
-        col_rows = self.col_rows
         best = None
         best_occ = len(self.rows) + 1
-        for c, v in row.items():
-            occ = len(col_rows[c])
-            if occ > best_occ:
+        for c, v in entries:
+            o = occ[c]
+            if o > best_occ:
                 continue
             k = _ELIGIBLE.get(v)
             if k is None:
                 continue
-            key = (occ, k, fam[c], c)
+            key = (o, k, fam[c], c)
             if best is None or key < best:
                 best = key
-                best_occ = occ
+                best_occ = o
         if best is None:
-            return None
-        occ, k, f, c = best
-        return ((len(row) - 1) * (occ - 1), k, f, c, rid)
-
-    def _queue(self, rid: int, entry: tuple) -> None:
+            return
+        o, k, f, c = best
+        entry = ((len(self.rows[rid]) - 1) * (o - 1), k, f, c, rid)
         if entry == self._last[rid]:
             self.stats["skipped"] += 1
         else:
             self._last[rid] = entry
             heapq.heappush(self._heap, entry)
 
-    def _push_best(self, rid: int) -> None:
-        entry = self._best_entry(rid)
-        if entry is not None:
-            self._queue(rid, entry)
-
     def _drop_row(self, rid: int) -> None:
+        col_rows, occ = self.col_rows, self.occ
         for c in self.rows[rid]:
-            self.col_rows[c].discard(rid)
+            col_rows[c].discard(rid)
+            occ[c] -= 1
         self.rows[rid] = None
 
     def run(self) -> None:
         heap = self._heap
         rows = self.rows
         col_rows = self.col_rows
+        occ = self.occ
         fam_rank = self.fam_rank
         last = self._last
-        push_best = self._push_best
-        queue = self._queue
+        push = self._push
         heappop = heapq.heappop
         st = self.stats
         while heap:
@@ -542,17 +557,17 @@ class ExactEliminator:
             v = row.get(c)
             if v is None:
                 st["column_gone"] += 1
-                push_best(rid)
+                push(rid, row.items())
                 continue
             kk = _ELIGIBLE.get(v)
             if kk is None:
                 st["ineligible"] += 1
-                push_best(rid)
+                push(rid, row.items())
                 continue
-            cur = ((len(row) - 1) * (len(col_rows[c]) - 1), kk, fam_rank[c], c, rid)
+            cur = ((len(row) - 1) * (occ[c] - 1), kk, fam_rank[c], c, rid)
             if cur != entry:
                 st["score_raised" if cur > entry else "score_lowered"] += 1
-                queue(rid, cur)
+                push(rid, ((c, v),))  # that column's current key, cur
                 continue
             # retire (rid, c) and clear column c everywhere else
             st["retired"] += 1
@@ -562,19 +577,15 @@ class ExactEliminator:
             self.pivot_rows.append(piv)
             for rid2 in sorted(col_rows[c]):
                 tgt = rows[rid2]
-                lost, gained = _merge(tgt, piv, c)
+                st["fill"] += _merge(tgt, piv, c, rid2, col_rows, occ)
                 st["merges"] += 1
-                st["fill"] += len(gained)
                 _normalize_row(tgt)
-                for cc in lost:
-                    col_rows[cc].discard(rid2)
-                for cc in gained:
-                    col_rows[cc].add(rid2)
                 if not tgt:
                     rows[rid2] = None
                 else:
-                    push_best(rid2)
-            # column c is drained; a fresh set releases its grown table
+                    push(rid2, tgt.items())
+            # column c is drained (occ[c] is 0); a fresh set releases its
+            # grown table
             col_rows[c] = set()
 
     def finish(self) -> tuple[list[int], list[dict[int, int]]]:

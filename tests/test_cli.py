@@ -134,11 +134,14 @@ def test_unusable_output_paths_are_config_errors(capsys, tmp_path, monkeypatch):
         ["verify", "--n", "3", "--out", str(tmp_path)],
         ["certify-h2", "--n", "3", "--out", str(tmp_path)],
         ["verify", "--n", "3", "--out", str(a_file / "sub" / "report.json")],
+        ["homology", "--n", "3", "--cache-dir", "", "--out", str(tmp_path / "r.json")],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG, argv
         assert out == ""
-        assert "config error" in err and str(tmp_path) in err
+        # the error names the path it refuses, or the option left empty
+        shown = "--cache-dir is empty" if "" in argv else str(tmp_path)
+        assert "config error" in err and shown in err
     # directories that do not exist yet are made by the run
     new = str(tmp_path / "new" / "cache")
     cfg = parse_config(["homology", "--n", "3", "--cache-dir", new, "--out", new + "/r.json"])

@@ -42,7 +42,7 @@ from autfplus.reduction import (
     _collect_rows,
     _column_ints,
     _compact_matrix,
-    _merge,
+    _family_rank_by_col,
     _normalize_row,
     _phi_columns,
     _resolve_families,
@@ -304,10 +304,57 @@ def test_eligible_table_matches_the_valuation_rule():
         assert reduction._ELIGIBLE.get(v) == want, v
 
 
+def _reference_merge(row, piv, c):
+    """row <- 2^k * row - s*v * piv, clearing column c (pivot entry s*2^k);
+    returns the columns the row lost and the columns it gained."""
+    u = piv[c]
+    k = _ELIGIBLE[u]
+    v = row[c]
+    if k:
+        for cc in row:
+            row[cc] <<= k
+    mult = v if u > 0 else -v
+    lost, gained = [], []
+    for cc, pv in piv.items():
+        old = row.get(cc)
+        if old is None:
+            row[cc] = -mult * pv
+            gained.append(cc)
+        else:
+            nv = old - mult * pv
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+                lost.append(cc)
+    assert c not in row
+    return lost, gained
+
+
 class _ReferenceEliminator(ExactEliminator):
-    """The lazy-heap pivot search without `_last` or the occupancy-first
-    scan: every push goes on the heap, and every eligible entry of a row is
-    scored.  The order oracle for ExactEliminator."""
+    """The lazy-heap pivot search without `_last`, occupancy counters or the
+    occupancy-first scan: every push goes on the heap, every eligible entry
+    of a row is scored on `len(col_rows[c])`, and the caller updates the
+    column index from the lists a merge returns.  The order oracle for
+    ExactEliminator; only `finish` is inherited."""
+
+    def __init__(self, n, ncols, rows):
+        self.n = n
+        self.ncols = ncols
+        self.fam_rank = _family_rank_by_col(n)
+        self.rows = rows
+        self.col_rows = [set() for _ in range(ncols)]
+        for rid, row in enumerate(rows):
+            for c in row:
+                self.col_rows[c].add(rid)
+        self.pivot_cols, self.pivot_rows = [], []
+        self.stats = dict.fromkeys(
+            ("dead_row", "column_gone", "ineligible", "score_raised",
+             "score_lowered", "skipped", "retired", "merges", "fill", "max_bits"), 0
+        )
+        self._heap = []
+        for rid in range(len(rows)):
+            self._push_best(rid)
 
     def _best_entry(self, rid: int) -> tuple | None:
         row = self.rows[rid]
@@ -333,6 +380,11 @@ class _ReferenceEliminator(ExactEliminator):
         entry = self._best_entry(rid)
         if entry is not None:
             heapq.heappush(self._heap, entry)
+
+    def _drop_row(self, rid: int) -> None:
+        for c in self.rows[rid]:
+            self.col_rows[c].discard(rid)
+        self.rows[rid] = None
 
     def run(self) -> None:
         heap = self._heap
@@ -372,8 +424,9 @@ class _ReferenceEliminator(ExactEliminator):
             self.pivot_rows.append(piv)
             for rid2 in sorted(col_rows[c]):
                 tgt = rows[rid2]
-                lost, gained = _merge(tgt, piv, c)
+                lost, gained = _reference_merge(tgt, piv, c)
                 st["merges"] += 1
+                st["fill"] += len(gained)
                 _normalize_row(tgt)
                 for cc in lost:
                     col_rows[cc].discard(rid2)
@@ -385,6 +438,15 @@ class _ReferenceEliminator(ExactEliminator):
                     push_best(rid2)
             # column c is drained; a fresh set releases its grown table
             col_rows[c] = set()
+
+
+def _assert_occupancy_counts(elim):
+    """Every column's counter equals the size of its row set, and the row
+    sets hold exactly the live rows' entries."""
+    assert elim.occ == [len(s) for s in elim.col_rows]
+    assert {(c, rid) for c, s in enumerate(elim.col_rows) for rid in s} == {
+        (c, rid) for rid, row in enumerate(elim.rows) if row for c in row
+    }
 
 
 _POPS = ("dead_row", "column_gone", "ineligible", "score_raised", "score_lowered")
@@ -442,8 +504,9 @@ def test_eliminator_keeps_the_reference_pivot_order():
         assert elim.pivot_cols == ref.pivot_cols
         assert elim.pivot_rows == ref.pivot_rows
         assert (survivors, residual) == (ref_survivors, ref_residual)
-        for name in ("retired", "merges", "max_bits"):
+        for name in ("retired", "merges", "fill", "max_bits"):
             assert elim.stats[name] == ref.stats[name], name
+        _assert_occupancy_counts(elim)
         # a skipped push only drops pops that the reference wasted
         for name in _POPS:
             assert elim.stats[name] <= ref.stats[name], name
@@ -536,10 +599,9 @@ def test_eliminator_counters(coeff):
     assert elim.stats["retired"] == len(elim.pivot_cols)
     for name, ceiling in REFERENCE_POPS[coeff].items():
         assert ELIMINATOR_STATS[coeff][name] <= ceiling, name
-    # the column occupancy index every fill score reads matches the rows
-    assert {(c, rid) for c, s in enumerate(elim.col_rows) for rid in s} == {
-        (c, rid) for rid, row in enumerate(elim.rows) if row for c in row
-    }
+    # the column occupancy index and the counts every fill score reads
+    # match the rows
+    _assert_occupancy_counts(elim)
 
 
 # -- harvest at small rank ---------------------------------------------
@@ -761,10 +823,10 @@ def test_audit_rejects_an_entry_at_an_earlier_pivot_column(monkeypatch):
 def test_audit_rejects_a_wrong_merge_multiplier(monkeypatch):
     real = reduction._merge
 
-    def merge(row, piv, c):
+    def merge(row, piv, c, *index):
         # clears column c as it should, but subtracts the rest of the pivot
         # row twice
-        return real(row, {cc: v if cc == c else 2 * v for cc, v in piv.items()}, c)
+        return real(row, {cc: v if cc == c else 2 * v for cc, v in piv.items()}, c, *index)
 
     monkeypatch.setattr(reduction, "_merge", merge)
     with pytest.raises(ConsistencyError, match=r"row \d+ is not in ker\(phi\)"):
