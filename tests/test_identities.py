@@ -634,3 +634,36 @@ def test_certificate_stream_order_is_pinned(n, stream):
         keys = [list(inst) for inst, _ in _STREAMS[stream](n)]
     digest = hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
     assert digest == STREAM_ORDER_SHA256[n, stream]
+
+
+# -- the certificates themselves ------------------------------------------
+
+# sha256 of the compact JSON list of every certificate each harvest family
+# yields, in order: its factors as [conj, relator, exponent] followed by its
+# residual.  The instance keys above say which certificates are built; these
+# say what each one is, so a rewrite of how factors are composed must give
+# the same factors, conjugators and residuals.
+CERTIFICATE_SHA256 = {
+    (3, "F1"): "5ea7c804d628582ffa0a991c3502d1f078e724ef593044299d41086fb1bdb786",
+    (3, "F2"): "2e7cce1c874a41f3f60a7183d035f4bb14effc2168cfad7cd8a54d6f1a644ae5",
+    (3, "F3"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (3, "F4"): "4c93496905d17cb29c7a6b4ea1e18362295757295d09443dc0848ffe44f5055c",
+    (3, "F5"): "1b1f87366c96f86118d8fdbf0c7df73dbfe511f83f24bdb95f0ab2b504b45ddf",
+    (3, "F6"): "2f97bab2642d3e8a171e17ce322073ff6aa565d0380aeec9cdaf9aac64d39629",
+    (4, "F1"): "16e25bd7ebef61bc6aa3d1e8c48af0607fb08ce76c028d683c6ba8447ffa4023",
+    (4, "F2"): "c7cc77989dfd4bf7df99732daf5e808bf1783de83d4d486b4bd6c411ce6189a1",
+    (4, "F3"): "2b5277c03f22320c6fdfcdba9399ecce5f26dcf22159d16f825f28c07a57ee27",
+    (4, "F4"): "aea32950ac84c46d91206897befac6ce05b907fae626c0bbcac0f13021d65f66",
+    (4, "F5"): "df3d1bb6a70d5b3ebe211855687b25a49af698caf519c6bddf7bbeb0ddc4c728",
+    (4, "F6"): "54280fcf94114f1d3d8ce75e17c319d0903e8b43d8870138540231177633021d",
+}
+
+
+@pytest.mark.parametrize("n, tag", sorted(CERTIFICATE_SHA256))
+def test_harvest_certificates_are_pinned(n, tag):
+    doc = [
+        [[list(f.conj), f.relator, f.exponent] for f in cert.rhs.factors] + [list(cert.residual)]
+        for _, cert in _STREAMS[tag](n)
+    ]
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == CERTIFICATE_SHA256[n, tag]
