@@ -33,9 +33,9 @@ from .homology import (
 )
 from .identities import CertificationError, identity_suite
 from .presentation import (
-    eval_xword,
     gen_count,
     gersten_relators,
+    is_relator_elt,
     reduced_relators,
 )
 from .reduction import FAMILY_TAGS, HarvestError, harvest, peak_rss_kib, survivor_summary
@@ -147,6 +147,8 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError("--cache-dir is empty: it must name a directory")
     if cache_dir is not None and (bad := _non_directory_on(cache_dir)):
         raise ConfigError(f"--cache-dir {cache_dir}: {bad} exists and is not a directory")
+    if args.out == "":
+        raise ConfigError("--out is empty: it must name a file")
     if args.out and os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory")
     if args.out and (bad := _non_directory_on(os.path.dirname(os.path.abspath(args.out)))):
@@ -171,7 +173,7 @@ def _verify_presentation(n: int) -> dict:
     failures = []
     for rel in reduced_relators(n):
         fam_counts[rel.family] = fam_counts.get(rel.family, 0) + 1
-        if not eval_xword(n, rel.word).is_identity():
+        if not is_relator_elt(n, rel.word):
             failures.append(rel.label)
     block = {
         "relators": sum(fam_counts.values()),
@@ -183,7 +185,7 @@ def _verify_presentation(n: int) -> dict:
         g_bad = [
             label
             for label, word in gersten
-            if not eval_xword(n, word).is_identity()
+            if not is_relator_elt(n, word)
         ]
         block["gersten"] = {
             "relators": len(gersten),

@@ -27,6 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -75,43 +76,20 @@ class GroupRingElt:
         return GroupRingElt.from_word(words.EMPTY)
 
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            c = out.get(w, 0) + c
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
-        e = GroupRingElt()
-        e.terms = out
-        return e
+        return GroupRingElt(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "GroupRingElt":
-        e = GroupRingElt()
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
+        return self * -1
 
     def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
         return self + (-other)
 
     def __mul__(self, other: "GroupRingElt | int") -> "GroupRingElt":
         if isinstance(other, int):
-            e = GroupRingElt()
-            if other:
-                e.terms = {w: c * other for w, c in self.terms.items()}
-            return e
-        acc: dict[Word, int] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = words.multiply(wa, wb)
-                c = acc.get(w, 0) + ca * cb
-                if c:
-                    acc[w] = c
-                elif w in acc:
-                    del acc[w]
-        e = GroupRingElt()
-        e.terms = acc
-        return e
+            return GroupRingElt((w, c * other) for w, c in self.terms.items())
+        return GroupRingElt((words.multiply(wa, wb), ca * cb)
+                            for wa, ca in self.terms.items()
+                            for wb, cb in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -132,15 +110,8 @@ def fox_derivative(w: Word, s: int) -> GroupRingElt:
     fundamental identity sum_x (dw/dx).(x - 1) = w - 1.
     """
     assert isinstance(s, int) and s > 0
-    acc: dict[Word, int] = {}
-    for t, y in enumerate(w):
-        if y == s:
-            pre = w[:t]
-            acc[pre] = acc.get(pre, 0) + 1
-        elif y == -s:
-            pre = w[: t + 1]
-            acc[pre] = acc.get(pre, 0) - 1
-    return GroupRingElt(acc)
+    return GroupRingElt((w[:t], 1) if y == s else (w[:t + 1], -1)
+                        for t, y in enumerate(w) if abs(y) == s)
 
 
 # -- coefficient actions -----------------------------------------------
@@ -190,6 +161,10 @@ def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
 
 # -- sparse integer matrices -------------------------------------------
 
+# Sparse rows {col: nonzero int}: the working form of every SNF matrix and
+# of IntMatrix.mul.
+Row = dict[int, int]
+
 
 class IntMatrix:
     """Sparse exact-integer matrix: {(row, col): nonzero int}, 0-based."""
@@ -225,13 +200,30 @@ class IntMatrix:
 
     @classmethod
     def parse(cls, text: str) -> "IntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        nr, nc = map(int, lines[0].split())
-        out = cls(nr, nc)
-        for ln in lines[1:]:
-            i, j, v = ln.split()
-            out.set(int(i), int(j), int(v))
-        return out
+        """Read back what dump() writes and refuse, with ValueError, what it
+        never writes: a malformed header, an entry outside the shape, a
+        stored zero, or entries not strictly increasing in (row, col)."""
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        if not lines or len(lines[0]) != 2:
+            raise ValueError("matrix text must start with 'nrows ncols'")
+        nr, nc = map(int, lines[0])
+        if nr < 0 or nc < 0:
+            raise ValueError(f"negative matrix shape {nr} x {nc}")
+        data: dict[tuple[int, int], int] = {}
+        last = (-1, -1)
+        for parts in lines[1:]:
+            if len(parts) != 3:
+                raise ValueError(f"matrix entry {' '.join(parts)!r} is not 'row col value'")
+            i, j, v = map(int, parts)
+            if not (0 <= i < nr and 0 <= j < nc):
+                raise ValueError(f"entry ({i}, {j}) outside the {nr} x {nc} shape")
+            if not v:
+                raise ValueError(f"stored zero at ({i}, {j})")
+            if (i, j) <= last:
+                raise ValueError(f"entry ({i}, {j}) does not follow {last}")
+            last = (i, j)
+            data[last] = v
+        return cls(nr, nc, data)
 
     def content_hash(self) -> str:
         """sha256 of dump(); for a sealed matrix, the digest seal kept."""
@@ -253,19 +245,15 @@ class IntMatrix:
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         assert self.ncols == other.nrows
-        by_row: dict[int, list[tuple[int, int]]] = {}
+        by_row: dict[int, Row] = {}
         for (k, j), v in other.data.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], int] = {}
+            by_row.setdefault(k, {})[j] = v
+        acc: dict[int, Row] = {}
         for (i, k), v in self.data.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                c = acc.get(key, 0) + v * w
-                if c:
-                    acc[key] = c
-                elif key in acc:
-                    del acc[key]
-        return IntMatrix(self.nrows, other.ncols, acc)
+            if k in by_row:
+                _axpy(acc.setdefault(i, {}), by_row[k], v)
+        return IntMatrix(self.nrows, other.ncols,
+                         {(i, j): v for i, row in acc.items() for j, v in row.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -372,9 +360,6 @@ def check_chain_condition(d1: IntMatrix, phi: IntMatrix) -> None:
 
 # -- Smith normal form with transform witnesses ------------------------
 
-# Sparse rows {col: nonzero int}: the working form of every SNF matrix.
-Row = dict[int, int]
-
 
 @dataclass
 class SNFResult:
@@ -405,9 +390,14 @@ class SNFResult:
 
     def verify(self, a: IntMatrix) -> None:
         """Recheck the factorization and the transform witnesses exactly."""
-        assert (a.nrows, a.ncols) == (self.nrows, self.ncols)
+        if (a.nrows, a.ncols) != (self.nrows, self.ncols):
+            raise ConsistencyError(
+                f"SNF of a {self.nrows} x {self.ncols} matrix checked against "
+                f"a {a.nrows} x {a.ncols} one")
         divs = self.divisors
-        assert len(divs) == min(self.nrows, self.ncols)
+        if len(divs) != min(self.nrows, self.ncols):
+            raise ConsistencyError(
+                f"{len(divs)} divisors for a {self.nrows} x {self.ncols} matrix")
         for i in range(len(divs) - 1):
             d, e = divs[i], divs[i + 1]
             if d == 0:

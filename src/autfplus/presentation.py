@@ -35,58 +35,29 @@ def check_rank(n: int) -> None:
         raise ValueError(f"presentations need rank >= {MIN_RANK}, got {n}")
 
 
-@dataclass(frozen=True, order=True)
-class GenSym:
-    """Generator symbol for the Nielsen map with letter pair (x_i^eps, x_j)."""
-
-    i: int
-    eps: int
-    j: int
-
-    def __post_init__(self) -> None:
-        assert self.eps in (1, -1)
-        assert self.i != self.j and self.i >= 1 and self.j >= 1
-
-    @property
-    def source(self) -> int:
-        """The moved letter, as a signed integer."""
-        return self.i * self.eps
-
-    @property
-    def target(self) -> int:
-        return self.j
-
-    def __str__(self) -> str:
-        return f"E({self.i},{'+' if self.eps > 0 else '-'},{self.j})"
-
-
 def gen_count(n: int) -> int:
     return 2 * n * (n - 1)
 
 
-def gen_index(n: int, i: int, eps: int, j: int) -> int:
-    """1-based index of a generator symbol in the canonical ordering."""
-    assert 1 <= i <= n and 1 <= j <= n and i != j and eps in (1, -1)
-    block = (i - 1) * 2 * (n - 1) + (0 if eps == 1 else n - 1)
-    off = j - 1 if j < i else j - 2
-    return block + off + 1
+@lru_cache(maxsize=None)
+def gen_symbols(n: int) -> tuple[tuple[int, int], ...]:
+    """The generator symbols in canonical order, as (source letter, target)
+    pairs: symbol s (1-based) moves the signed letter gen_symbols(n)[s-1][0]
+    by the positive letter [1].  Sources run 1, -1, 2, -2, ..., targets
+    ascend."""
+    return tuple((eps * i, j) for i in range(1, n + 1) for eps in (1, -1)
+                 for j in range(1, n + 1) if j != i)
 
 
 @lru_cache(maxsize=None)
-def gen_symbols(n: int) -> tuple[GenSym, ...]:
-    out = []
-    for i in range(1, n + 1):
-        for eps in (1, -1):
-            for j in range(1, n + 1):
-                if j != i:
-                    out.append(GenSym(i, eps, j))
-    assert len(out) == gen_count(n)
-    return tuple(out)
-
-
-def symbol_of(n: int, s: int) -> GenSym:
-    """Generator symbol for a (positive) alphabet index."""
-    return gen_symbols(n)[s - 1]
+def _symbol_of_pair(n: int) -> dict[tuple[int, int], int]:
+    """(a, b) -> signed symbol: the inverse of gen_symbols, a negative
+    target naming the inverse symbol."""
+    out = {}
+    for s, (a, b) in enumerate(gen_symbols(n), 1):
+        out[a, b] = s
+        out[a, -b] = -s
+    return out
 
 
 def embed_E(n: int, a: int, b: int) -> Word:
@@ -95,18 +66,16 @@ def embed_E(n: int, a: int, b: int) -> Word:
     A negative target letter b yields the inverse of the symbol with
     target -b (the inverse-pair relator holds by construction).
     """
-    if abs(a) == abs(b):
-        raise ValueError(f"invalid letter pair ({a}, {b})")
-    assert 1 <= abs(a) <= n and 1 <= abs(b) <= n
-    eps = 1 if a > 0 else -1
-    s = gen_index(n, abs(a), eps, abs(b))
-    return (s,) if b > 0 else (-s,)
+    s = _symbol_of_pair(n).get((a, b))
+    if s is None:
+        raise ValueError(f"invalid letter pair ({a}, {b}) at rank {n}")
+    return (s,)
 
 
 def letters_of_symbol(n: int, s: int) -> tuple[int, int]:
     """Inverse of embed_E on single symbols: signed alphabet index -> (a, b)."""
-    sym = symbol_of(n, abs(s))
-    return (sym.source, sym.target if s > 0 else -sym.target)
+    a, b = gen_symbols(n)[abs(s) - 1]
+    return (a, b if s > 0 else -b)
 
 
 # -- standard xwords ---------------------------------------------------
@@ -123,8 +92,6 @@ def h_xword(n: int, a: int, b: int) -> Word:
 
 def r_xword(n: int, a: int, c: int, b: int) -> Word:
     """r_{a c}(b) = [E_ab, E_bc] E_{a c^-1}: the triangle relator through b."""
-    if abs(a) == abs(b) or abs(a) == abs(c) or abs(b) == abs(c):
-        raise ValueError(f"letters must have distinct indices: {a}, {c}, {b}")
     comm = words.commutator(embed_E(n, a, b), embed_E(n, b, c))
     return words.multiply(comm, embed_E(n, a, -c))
 
@@ -260,8 +227,8 @@ def format_xword(n: int, xw: Word) -> str:
         return "1"
     parts = []
     for s in xw:
-        sym = symbol_of(n, abs(s))
-        parts.append(str(sym) + ("" if s > 0 else "^-1"))
+        a, j = gen_symbols(n)[abs(s) - 1]
+        parts.append(f"E({abs(a)},{'+' if a > 0 else '-'},{j})" + ("" if s > 0 else "^-1"))
     return "*".join(parts)
 
 

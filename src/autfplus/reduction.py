@@ -51,6 +51,7 @@ from .identities import (
     _canon_comm_letters,
     _conj_factors,
     _inv_factors,
+    append_pair_route,
     base_case,
     base_case_tag,
     canon_h,
@@ -62,7 +63,6 @@ from .identities import (
 )
 from .nielsen import COEFF_SPACES
 from .presentation import (
-    embed_E,
     gen_count,
     letters_of_symbol,
     reduced_relators,
@@ -266,8 +266,6 @@ def _f5_basis_change(n: int) -> NullStream:
     against the append-inverse-pair route through the sign-flipped pair."""
     X = gen_count(n)
     for a, b in permutations(range(1, n + 1), 2):
-        winv = words.inverse(w_xword(n, a, b))
-        hf = canon_h(n, a, b)
         for z in range(1, X + 1):
             c, d = letters_of_symbol(n, z)
             if not meets_at_most_once(a, b, (c, d)):
@@ -275,11 +273,7 @@ def _f5_basis_change(n: int) -> NullStream:
             if base_case_tag(a, b, c, d) == "src-hit":
                 continue  # the direct case IS the append route there
             direct = base_case(n, a, b, c, d)
-            route = (
-                _conj_factors(hf, words.multiply(winv, embed_E(n, c, -d)))
-                + _conj_factors(_inv_factors(hf), winv)
-                + base_case(n, -a, -b, c, d)
-            )
+            route = append_pair_route(n, a, b, c, d)
             null = RelatorExpression(n, direct + _inv_factors(route))
             yield (a, b, c, d), certify((), null)
 

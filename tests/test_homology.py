@@ -143,6 +143,33 @@ def test_group_ring_axioms(a, b, c):
     assert 2 * ea == ea + ea
 
 
+# two letters and short words, so that terms often meet and cancel
+_short_words = st.lists(st.integers(1, 2).flatmap(lambda i: st.sampled_from([i, -i])),
+                        max_size=3).map(tuple)
+_terms = st.lists(st.tuples(_short_words, st.integers(-3, 3)), max_size=6)
+
+
+def _ring_oracle(pairs) -> dict:
+    """{reduced word: summed coefficient}, zero sums dropped, by a plain dict."""
+    acc: dict = {}
+    for w, c in pairs:
+        w = words.reduce_word(w)
+        acc[w] = acc.get(w, 0) + c
+    return {w: c for w, c in acc.items() if c}
+
+
+@given(_terms, _terms, st.integers(-3, 3))
+def test_group_ring_operations_match_a_dict_oracle(x, y, k):
+    a, b = GroupRingElt(x), GroupRingElt(y)
+    assert a.terms == _ring_oracle(x) and b.terms == _ring_oracle(y)
+    assert (a + b).terms == _ring_oracle(x + y)
+    assert (a - b).terms == _ring_oracle(x + [(w, -c) for w, c in y])
+    assert (-a).terms == _ring_oracle([(w, -c) for w, c in x])
+    assert (a * b).terms == _ring_oracle([(u + v, c * d) for u, c in x for v, d in y])
+    assert (a * k).terms == (k * a).terms == _ring_oracle([(w, c * k) for w, c in x])
+    assert (a - a).terms == (a * 0).terms == {}
+
+
 def test_group_ring_reduces_keys():
     e = GroupRingElt([((1, -1, 2), 3), ((2,), -3)])
     assert not e.terms
@@ -305,6 +332,37 @@ def test_intmatrix_dump_parse_roundtrip():
     assert a.content_hash() != b.content_hash()
     a.set(2, 3, 0)
     assert (2, 3) not in a.data or _entry(a, 2, 3) != 0
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "must start with 'nrows ncols'"),
+    ("2\n0 0 1\n", "must start with 'nrows ncols'"),
+    ("2 2 2\n", "must start with 'nrows ncols'"),
+    ("2 x\n", "invalid literal"),
+    ("-1 2\n", "negative matrix shape"),
+    ("2 2\n0 0\n", "is not 'row col value'"),
+    ("2 2\n0 1 1 1\n", "is not 'row col value'"),
+    ("2 2\n0 0 1\n5 7 3\n0 0 4\n", r"entry \(5, 7\) outside the 2 x 2 shape"),
+    ("2 2\n0 2 1\n", "outside"),
+    ("2 2\n-1 0 1\n", "outside"),
+    ("2 2\n0 1 0\n", r"stored zero at \(0, 1\)"),
+    ("2 2\n0 0 1\n0 0 4\n", r"entry \(0, 0\) does not follow \(0, 0\)"),
+    ("2 2\n1 0 1\n0 1 4\n", r"entry \(0, 1\) does not follow \(1, 0\)"),
+], ids=("empty", "short-header", "long-header", "non-int", "negative-shape",
+        "short-entry", "long-entry", "row-out-of-range", "col-out-of-range",
+        "negative-index", "stored-zero", "repeated-entry", "decreasing-entry"))
+def test_intmatrix_parse_refuses_what_dump_never_writes(text, match):
+    # artefacts are read back with parse, so it checks by raising, which
+    # python -O keeps, not through an assert
+    with pytest.raises(ValueError, match=match):
+        IntMatrix.parse(text)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_intmatrix_parse_reads_back_d1_and_phi(n, coeff):
+    for m in (d1_matrix(n, coeff), phi_matrix(n, coeff)):
+        assert IntMatrix.parse(m.dump()) == m
 
 
 def test_intmatrix_mul_matches_dense():
@@ -507,6 +565,10 @@ def test_snf_verify_catches_tampering():
         changed("v_rows", 2, 2),
         changed("vinv_rows", 0, 2),
         dataclasses.replace(res, divisors=(2, 1)),  # chain order broken
+        # a divisor too many or too few: raised, not asserted, so that
+        # python -O keeps the check
+        dataclasses.replace(res, divisors=res.divisors + res.divisors[-1:]),
+        dataclasses.replace(res, divisors=res.divisors[:1]),
     ]
     # the shape check names the witness; it runs before any product, which
     # would raise IndexError on a column >= k, or would not see a stored zero
@@ -526,6 +588,9 @@ def test_snf_verify_catches_tampering():
     for bad in misshapen:
         with pytest.raises(ConsistencyError, match="SNF witness"):
             bad.verify(a)
+    # checked against a matrix of another shape
+    with pytest.raises(ConsistencyError, match="2 x 3 matrix checked against a 2 x 2 one"):
+        res.verify(from_dense([[2, 1], [4, 0]]))
 
 
 def test_rank_mod_p_agrees_with_divisors():

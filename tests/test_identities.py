@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autfplus import identities, words
+from autfplus.homology import ConsistencyError
 from autfplus.identities import (
     BASE_CASES,
     SUITE_FAMILIES,
@@ -27,6 +29,8 @@ from autfplus.identities import (
     Factor,
     RelatorExpression,
     _canon_comm_letters,
+    _conj_factors,
+    append_pair_route,
     base_case,
     base_case_tag,
     canon_commutator,
@@ -38,6 +42,7 @@ from autfplus.identities import (
     identity_suite,
     power_split_null,
     transport_chain,
+    transport_instances,
     transport_target,
 )
 from autfplus.nielsen import monomial_letter_perm
@@ -341,6 +346,14 @@ def test_null_expression_input_validation():
         eq41_null(4, 1, -1, 3, 4)  # degenerate transport pair
     with pytest.raises(ValueError):
         power_split_null(4, 1, 1, 2)
+    # pairs that name no symbol are refused by embed_E, whichever piece
+    # builds them first
+    for build in (lambda: eq21_null(4, 2, -2, 1, 3, 4), lambda: eq21_null(4, 1, 5, 2, 3, 4),
+                  lambda: eq41_null(4, 1, 2, 3, -3), lambda: eq41_null(4, 1, 2, 3, 5),
+                  lambda: base_case(4, 1, -1, 2, 3), lambda: base_case(4, 1, 2, 3, 3),
+                  lambda: r_xword(4, 1, 2, 1), lambda: r_xword(4, 1, -1, 2)):
+        with pytest.raises(ValueError, match="invalid letter pair"):
+            build()
 
 
 def test_transport_chain_two_pairs():
@@ -360,6 +373,8 @@ def test_conj_transport_validates_pair():
         conj_transport(4, 1, -1, embed_E(4, 2, 3))
     with pytest.raises(ValueError):
         conj_transport(4, 1, 5, embed_E(4, 2, 3))
+    with pytest.raises(ValueError, match="invalid letter pair"):
+        conj_transport(4, 0, 2, embed_E(4, 2, 3))
 
 
 # -- certification plumbing --------------------------------------------
@@ -404,8 +419,30 @@ def test_expression_algebra():
     e = RelatorExpression(n, canon_h(n, 1, 2))
     assert _inverse(e).expand() == inverse(e.expand())
     u = embed_E(n, 2, 3)
-    assert e.conjugated(u).expand() == words.conjugate(e.expand(), u)
-    assert (e * _inverse(e)).expand() == ()
+    conj = RelatorExpression(n, _conj_factors(e.factors, u))
+    assert conj.expand() == words.conjugate(e.expand(), u)
+    assert _conj_factors(e.factors, ()) == e.factors
+    assert RelatorExpression(n, e.factors + _inverse(e).factors).expand() == ()
+
+
+def test_a_source_hit_base_case_is_the_append_pair_route():
+    n = 3
+    hits = [inst for inst in transport_instances(n, 2) if base_case_tag(*inst) == "src-hit"]
+    assert hits
+    for a, b, c, d in hits:
+        assert base_case(n, a, b, c, d) == append_pair_route(n, a, b, c, d)
+
+
+def test_an_unsound_canonical_relator_is_a_consistency_error(monkeypatch):
+    # raised, not asserted, so that python -O keeps the check
+    bad = reduced_relators(3)[5]
+    monkeypatch.setattr(identities, "is_relator_elt", lambda n, w: w != bad.word)
+    identities._sound_labels.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=re.escape(bad.label)):
+            identities._sound_labels(3)
+    finally:
+        identities._sound_labels.cache_clear()
 
 
 def test_expand_matches_a_factorwise_product():

@@ -13,8 +13,8 @@ from autfplus.presentation import (
     check_rank,
     embed_E,
     eval_xword,
+    format_xword,
     gen_count,
-    gen_index,
     gen_symbols,
     gersten_relators,
     h_xword,
@@ -22,7 +22,6 @@ from autfplus.presentation import (
     letters_of_symbol,
     reduced_relators,
     relator_index,
-    symbol_of,
     twist_xword,
     w_xword,
 )
@@ -37,14 +36,38 @@ def test_check_rank():
     check_rank(3)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def _closed_form_index(n, i, eps, j):
+    """1-based index of the symbol moving x_i^eps by x_j, in closed form:
+    blocks of 2(n-1) symbols per source index, the + half first, targets
+    ascending with i skipped."""
+    block = (i - 1) * 2 * (n - 1) + (0 if eps == 1 else n - 1)
+    off = j - 1 if j < i else j - 2
+    return block + off + 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_symbol_count_and_index_bijection(n):
+    # the table against the closed-form index, and embed_E, letters_of_symbol
+    # and format_xword against the table
     assert gen_count(n) == 2 * n * (n - 1)
     syms = gen_symbols(n)
-    assert len(syms) == gen_count(n)
-    for s in range(1, gen_count(n) + 1):
-        sym = symbol_of(n, s)
-        assert gen_index(n, sym.i, sym.eps, sym.j) == s
+    assert len(syms) == gen_count(n) == len(set(syms))
+    for s, (a, j) in enumerate(syms, 1):
+        i, eps = abs(a), (1 if a > 0 else -1)
+        assert j > 0 and j != i and i <= n and j <= n
+        assert _closed_form_index(n, i, eps, j) == s
+        assert embed_E(n, a, j) == (s,) and embed_E(n, a, -j) == (-s,)
+        assert letters_of_symbol(n, s) == (a, j) and letters_of_symbol(n, -s) == (a, -j)
+        text = f"E({i},{'+' if eps > 0 else '-'},{j})"
+        assert format_xword(n, (s, -s)) == f"{text}*{text}^-1"
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, -2), (-3, 3), (0, 1), (1, 0),
+                                  (4, 1), (1, 4), (-4, 2), (2, -4)])
+def test_embed_refuses_pairs_that_name_no_symbol(a, b):
+    # equal indices, a zero letter, or a letter beyond rank 3
+    with pytest.raises(ValueError, match="invalid letter pair"):
+        embed_E(3, a, b)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
