@@ -25,6 +25,8 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .homology import (
+    CERT_ARGUMENT,
+    TRANSFER_REMARK,
     ConsistencyError,
     _atomic_write_text,
     divisor_profile,
@@ -336,8 +338,8 @@ def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
             "ok": cert.ok,
             "reason": cert.reason,
             "bound": cert.bound,
-            "argument": cert.argument,
-            "transfer": cert.transfer_remark,
+            "argument": CERT_ARGUMENT,
+            "transfer": TRANSFER_REMARK,
         },
     }
     timings = {

@@ -63,18 +63,6 @@ class GroupRingElt:
                     del clean[w]
         self.terms = clean
 
-    @staticmethod
-    def zero() -> "GroupRingElt":
-        return GroupRingElt()
-
-    @staticmethod
-    def from_word(w: Word, coeff: int = 1) -> "GroupRingElt":
-        return GroupRingElt([(w, coeff)])
-
-    @staticmethod
-    def one() -> "GroupRingElt":
-        return GroupRingElt.from_word(words.EMPTY)
-
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
         return GroupRingElt(chain(self.terms.items(), other.terms.items()))
 
@@ -109,7 +97,8 @@ def fox_derivative(w: Word, s: int) -> GroupRingElt:
     The symbol x is given by its positive alphabet index s.  Satisfies the
     fundamental identity sum_x (dw/dx).(x - 1) = w - 1.
     """
-    assert isinstance(s, int) and s > 0
+    if not isinstance(s, int) or s <= 0:
+        raise ValueError(f"the symbol index must be a positive int, got {s!r}")
     return GroupRingElt((w[:t], 1) if y == s else (w[:t + 1], -1)
                         for t, y in enumerate(w) if abs(y) == s)
 
@@ -133,9 +122,10 @@ def _transvection(n: int, coeff: str, s: int) -> tuple:
     word is the product of its letter matrices in reading order.  On H the
     symbol acts by the induced matrix of its inverse, the symbol -s; on H*
     by the transpose of its own induced matrix.  Any other shape than one
-    such row raises ConsistencyError.
+    such row raises ConsistencyError, and an unknown coeff ValueError.
     """
-    assert coeff in COEFF_SPACES
+    if coeff not in COEFF_SPACES:
+        raise ValueError(f"unknown coefficient module {coeff!r}")
     if coeff == H:
         m = induced_matrix(symbol_aut(n, -s))
     else:
@@ -162,7 +152,7 @@ def _letter_times(n: int, coeff: str, s: int, m: SmallMatrix) -> SmallMatrix:
 # -- sparse integer matrices -------------------------------------------
 
 # Sparse rows {col: nonzero int}: the working form of every SNF matrix and
-# of IntMatrix.mul.
+# of every matrix product (`_product`).
 Row = dict[int, int]
 
 
@@ -172,18 +162,12 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "data", "_sealed")
 
     def __init__(self, nrows: int, ncols: int, data: dict[tuple[int, int], int] | None = None):
-        assert nrows >= 0 and ncols >= 0
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"negative matrix shape {nrows} x {ncols}")
         self.nrows = nrows
         self.ncols = ncols
         self.data = {} if data is None else {k: v for k, v in data.items() if v}
         self._sealed: tuple | None = None  # (data, nrows, ncols, digest), see seal
-
-    def set(self, i: int, j: int, v: int) -> None:
-        assert 0 <= i < self.nrows and 0 <= j < self.ncols
-        if v:
-            self.data[(i, j)] = v
-        else:
-            self.data.pop((i, j), None)
 
     def nnz(self) -> int:
         return len(self.data)
@@ -242,18 +226,6 @@ class IntMatrix:
         digest = hashlib.sha256(text.encode()).hexdigest()
         self._sealed = (self.data, self.nrows, self.ncols, digest)
         return text
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.ncols == other.nrows
-        by_row: dict[int, Row] = {}
-        for (k, j), v in other.data.items():
-            by_row.setdefault(k, {})[j] = v
-        acc: dict[int, Row] = {}
-        for (i, k), v in self.data.items():
-            if k in by_row:
-                _axpy(acc.setdefault(i, {}), by_row[k], v)
-        return IntMatrix(self.nrows, other.ncols,
-                         {(i, j): v for i, row in acc.items() for j, v in row.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -351,10 +323,13 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
 
 
 def check_chain_condition(d1: IntMatrix, phi: IntMatrix) -> None:
-    """Hard check that every relator column lies in ker(d1)."""
-    prod = d1.mul(phi)
-    if prod.data:
-        bad = prod.triplets()[0]
+    """Hard check that every relator column lies in ker(d1); a violation
+    names the smallest nonzero (row, col, value) of d1.phi."""
+    if d1.ncols != phi.nrows:
+        raise ValueError(f"d1 has {d1.ncols} columns but phi {phi.nrows} rows")
+    prod = _product(_rows(d1), _rows(phi))
+    bad = min(((i, j, v) for i, row in enumerate(prod) for j, v in row.items()), default=None)
+    if bad is not None:
         raise ConsistencyError(f"chain condition violated: d1.phi has entry {bad}")
 
 
@@ -415,9 +390,7 @@ class SNFResult:
             raise ConsistencyError("V.Vinv != I")
         # U.A.V == D  <=>  A.V == Uinv.D, and the right side is just column
         # scaling, so the only product is A's sparse rows times V.
-        av: list[Row] = [{} for _ in range(m)]
-        for (i, k), val in a.data.items():
-            _axpy(av[i], V[k], val)
+        av = _product(_rows(a), V)
         uid = [{j: x * divs[j] for j, x in row.items() if j < len(divs) and divs[j]} for row in Ui]
         if av != uid:
             raise ConsistencyError("U.A.V != diag(divisors)")
@@ -442,7 +415,16 @@ def _unit_rows(k: int) -> list[Row]:
     return [{i: 1} for i in range(k)]
 
 
+def _rows(mat: IntMatrix) -> list[Row]:
+    """The matrix as its nrows sparse rows."""
+    out: list[Row] = [{} for _ in range(mat.nrows)]
+    for (i, j), v in mat.data.items():
+        out[i][j] = v
+    return out
+
+
 def _product(x: list[Row], y: list[Row]) -> list[Row]:
+    """The product of two matrices given as sparse rows, y one per column of x."""
     out = []
     for row in x:
         acc: Row = {}
@@ -578,7 +560,8 @@ def snf(a: IntMatrix) -> SNFResult:
 
 def two_adic_split(d: int) -> tuple[int, int]:
     """d = 2^k * odd, d > 0: return (k, odd)."""
-    assert d > 0
+    if d <= 0:
+        raise ValueError(f"two_adic_split needs d > 0, got {d}")
     k = (d & -d).bit_length() - 1
     return k, d >> k
 
@@ -702,7 +685,8 @@ def rank_mod_p(mat: IntMatrix, p: int) -> int:
     nothing here is shared with the SNF path, so the routine only ever
     cross-checks exact results.
     """
-    assert p > 2 and all(p % k for k in range(2, int(p**0.5) + 1)), p
+    if not (p > 2 and all(p % k for k in range(2, int(p**0.5) + 1))):
+        raise ValueError(f"rank_mod_p needs an odd prime, got {p}")
     rows: dict[int, dict[int, int]] = {}
     for (i, j), v in mat.data.items():
         v %= p
@@ -835,7 +819,8 @@ def five_term_data(n: int, coeff: str, cache_dir: str | None = None) -> FiveTerm
     small-rank tests confirm this against the explicit kernel-coordinate
     route through the d1 transforms.)
     """
-    assert coeff in COEFF_SPACES, coeff
+    if coeff not in COEFF_SPACES:
+        raise ValueError(f"unknown coefficient module {coeff!r}")
     presentation.check_rank(n)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -929,14 +914,6 @@ class H2Certificate:
     ok: bool
     reason: str
 
-    @property
-    def argument(self) -> str:
-        return CERT_ARGUMENT
-
-    @property
-    def transfer_remark(self) -> str:
-        return TRANSFER_REMARK
-
 
 def h2_certificate(n: int, coeff: str, bound: int, data: FiveTermData) -> H2Certificate:
     """Certify H_2 = 0 at (n, coeff) from a generator bound for the coinvariants.
@@ -945,9 +922,11 @@ def h2_certificate(n: int, coeff: str, bound: int, data: FiveTermData) -> H2Cert
     bound AND the structural expectation holds: for H the image fills
     ker(d1) over L; for the dual it is free of corank exactly 1 (the
     missing rank is the L in the tail of the sequence).  Failure returns a
-    certificate with ok=False and the offending data; nothing raises.
+    certificate with ok=False and the offending data; only five-term data
+    of another (n, coeff) raises, with ValueError.
     """
-    assert data.n == n and data.coeff == coeff
+    if (data.n, data.coeff) != (n, coeff):
+        raise ValueError(f"five-term data of n={data.n}, {data.coeff} given for n={n}, {coeff}")
     coker = data.h1
     expected_corank = 0 if coeff == H else 1
     problems = []

@@ -35,6 +35,7 @@ from .presentation import (
     letters_of_symbol,
     r_xword,
     reduced_relators,
+    relator_label,
     signed_tuples,
     twist_xword,
     w_xword,
@@ -53,9 +54,15 @@ class CertificationError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _signed_table(n: int) -> dict:
-    """(label, exponent) -> the relator word raised to that exponent."""
+    """(label, exponent) -> the relator word raised to that exponent, for
+    exponents +-1; built once every relator is checked to evaluate to the
+    identity, and a ConsistencyError names those that do not."""
+    rels = reduced_relators(n)
+    bad = [rel.label for rel in rels if not is_relator_elt(n, rel.word)]
+    if bad:
+        raise ConsistencyError(f"canonical relators not sound at n={n}: {bad[:4]}")
     out = {}
-    for rel in reduced_relators(n):
+    for rel in rels:
         out[rel.label, 1] = rel.word
         out[rel.label, -1] = words.inverse(rel.word)
     return out
@@ -74,15 +81,6 @@ def _word_table(n: int) -> dict:
     for rel in reduced_relators(n):
         table.setdefault(words.inverse(rel.word), (rel.label, -1))
     return table
-
-
-@lru_cache(maxsize=None)
-def _sound_labels(n: int) -> frozenset:
-    bad = [rel.label for rel in reduced_relators(n)
-           if not is_relator_elt(n, rel.word)]
-    if bad:
-        raise ConsistencyError(f"canonical relators not sound at n={n}: {bad[:4]}")
-    return frozenset(rel.label for rel in reduced_relators(n))
 
 
 # -- formal conjugated-relator products --------------------------------
@@ -127,11 +125,11 @@ class RelatorExpression:
     factors: tuple
 
     def __post_init__(self):
-        sound = _sound_labels(self.n)
+        table = _signed_table(self.n)
         for f in self.factors:
-            if f.exponent not in (1, -1):
-                raise ValueError(f"exponent must be +-1, got {f.exponent}")
-            if f.relator not in sound:
+            if (f.relator, f.exponent) not in table:
+                if f.exponent not in (1, -1):
+                    raise ValueError(f"exponent must be +-1, got {f.exponent}")
                 raise ValueError(f"unknown relator label {f.relator!r}")
 
     def expand(self) -> Word:
@@ -163,16 +161,6 @@ class RelatorExpression:
             else:
                 push(s)
         return tuple(out)
-
-
-def _of_checked(n: int, factors: tuple) -> RelatorExpression:
-    """An expression over factors that validated expressions of rank n
-    already hold, conjugated or inverted at most, built without checking
-    them again: neither move changes a label, and both keep exponents +-1."""
-    expr = object.__new__(RelatorExpression)
-    object.__setattr__(expr, "n", n)
-    object.__setattr__(expr, "factors", factors)
-    return expr
 
 
 @dataclass(frozen=True)
@@ -272,10 +260,12 @@ def canon_r(n: int, a: int, c: int, b: int) -> tuple:
     target = r_xword(n, a, c, b)
     if c > 0:
         label, exp = _word_table(n)[target]
+        # an invariant of the table, re-derived by _certified below
         assert exp == 1
         fs = (Factor((), label, 1),)
     else:
         inner = canon_r(n, a, -c, b)
+        # an invariant of the c > 0 case, re-derived by _certified below
         assert len(inner) == 1 and not inner[0].conj
         u = words.multiply(embed_E(n, b, c), embed_E(n, a, c))
         fs = ((Factor(u, inner[0].relator, -1),)
@@ -293,7 +283,7 @@ def canon_h(n: int, a: int, b: int) -> tuple:
     exactly the inverse word.
     """
     target = h_xword(n, a, b)
-    label = f"R4-1({abs(a)},{abs(b)})"
+    label = relator_label("R4-1", abs(a), abs(b))
     if a > 0 and b > 0:
         fs = (Factor((), label, 1),)
     elif a < 0 and b > 0:
@@ -485,7 +475,7 @@ def transport_chain(n: int, pairs: Sequence,
         return head, w_head
     g = words.inverse(words.multiply(*(w_xword(n, p, q) for p, q in rest)))
     tail, w_tail = transport_chain(n, rest, twist_xword(n, a, b, V))
-    return (_of_checked(n, _conj_factors(head.factors, g) + tail.factors),
+    return (RelatorExpression(n, _conj_factors(head.factors, g) + tail.factors),
             words.multiply(g, w_head, words.inverse(g), w_tail))
 
 
@@ -503,11 +493,12 @@ def _expanded(expr: RelatorExpression) -> tuple[RelatorExpression, Word]:
 
 def _null_certificate(
         *pieces: tuple[RelatorExpression, Word]) -> IdentityCertificate:
-    """certify((), product of the pieces), given each piece with its word.
-    Each piece validated its factors when it was built."""
+    """certify((), product of the pieces), given each piece with its word;
+    pieces of different ranks raise ValueError."""
     n = pieces[0][0].n
-    assert all(e.n == n for e, _ in pieces)
-    null = _of_checked(n, tuple(chain.from_iterable(e.factors for e, _ in pieces)))
+    if any(e.n != n for e, _ in pieces):
+        raise ValueError(f"null pieces of ranks {sorted({e.n for e, _ in pieces})}")
+    null = RelatorExpression(n, tuple(chain.from_iterable(e.factors for e, _ in pieces)))
     return IdentityCertificate((), null, words.multiply(*(w for _, w in pieces)))
 
 
@@ -557,7 +548,7 @@ def power_split_null(n: int, i: int, j: int, k: int) -> IdentityCertificate:
     brace1 = transport_chain(n, ((i, -j),) * 4, words.power(w_xword(n, j, k), 2))
     brace2 = transport_chain(n, ((j, k),) * 2,
                              words.power(words.inverse(w_xword(n, i, j)), 4))
-    quarter = Factor((), f"R5-1({i},{j})", -1)
+    quarter = Factor((), relator_label("R5-1", i, j), -1)
     return _null_certificate(
         brace1, brace2, _expanded(RelatorExpression(n, (quarter, quarter))))
 

@@ -33,7 +33,8 @@ class Automorphism:
     __slots__ = ("rank", "images")
 
     def __init__(self, rank: int, images: Sequence[Word]):
-        assert len(images) == rank
+        if len(images) != rank:
+            raise ValueError(f"{len(images)} images for rank {rank}")
         self.rank = rank
         self.images = tuple(images)
 

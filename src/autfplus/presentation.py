@@ -73,8 +73,12 @@ def embed_E(n: int, a: int, b: int) -> Word:
 
 
 def letters_of_symbol(n: int, s: int) -> tuple[int, int]:
-    """Inverse of embed_E on single symbols: signed alphabet index -> (a, b)."""
-    a, b = gen_symbols(n)[abs(s) - 1]
+    """Inverse of embed_E on single symbols: signed alphabet index -> (a, b).
+    Raises ValueError unless 1 <= |s| <= gen_count(n)."""
+    table = gen_symbols(n)
+    if not 0 < abs(s) <= len(table):
+        raise ValueError(f"{s} names no symbol at rank {n}")
+    a, b = table[abs(s) - 1]
     return (a, b if s > 0 else -b)
 
 
@@ -120,6 +124,12 @@ def is_relator_elt(n: int, xw: Word) -> bool:
 # -- reduced relator list ----------------------------------------------
 
 
+def relator_label(family: str, *idx: int) -> str:
+    """The label of the relator instance of a family at the indices idx,
+    e.g. "R4-1(1,2)"."""
+    return f"{family}({','.join(map(str, idx))})"
+
+
 @dataclass(frozen=True)
 class Relator:
     label: str
@@ -147,8 +157,7 @@ def reduced_relators(n: int) -> tuple[Relator, ...]:
     rels: list[Relator] = []
 
     def add(family: str, idx: Sequence[int], word: Word) -> None:
-        label = f"{family}({','.join(map(str, idx))})"
-        rels.append(Relator(label, family, tuple(idx), word))
+        rels.append(Relator(relator_label(family, *idx), family, tuple(idx), word))
 
     for i, j in permutations(range(1, n + 1), 2):
         add("R2-1", (i, j), comm(E(i, j), E(-i, j)))
@@ -227,8 +236,8 @@ def format_xword(n: int, xw: Word) -> str:
         return "1"
     parts = []
     for s in xw:
-        a, j = gen_symbols(n)[abs(s) - 1]
-        parts.append(f"E({abs(a)},{'+' if a > 0 else '-'},{j})" + ("" if s > 0 else "^-1"))
+        a, b = letters_of_symbol(n, s)
+        parts.append(f"E({abs(a)},{'+' if a > 0 else '-'},{abs(b)})" + ("" if s > 0 else "^-1"))
     return "*".join(parts)
 
 

@@ -41,7 +41,7 @@ from .homology import (
     _lmodule_from_cokernel,
     column_echelon,
     phi_matrix,
-    snf,
+    snf_cached,
     two_adic_split,
 )
 from .identities import (
@@ -426,6 +426,8 @@ def _merge(
                 del row[cc]
                 col_rows[cc].discard(rid)
                 occ[cc] -= 1
+    # the pivot's own entry cancels v exactly; re-derived at run time by
+    # _audit_elimination, which refuses any row left at a pivot column
     assert c not in row
     return fill
 
@@ -467,7 +469,6 @@ class ExactEliminator:
     """
 
     def __init__(self, n: int, ncols: int, rows: list[dict[int, int]]):
-        self.n = n
         self.ncols = ncols
         self.fam_rank = _family_rank_by_col(n)
         self.rows: list[dict[int, int] | None] = rows
@@ -771,7 +772,8 @@ def harvest(
 ) -> ModulePresentation:
     """Collect all family rows, run exact elimination over L, audit its
     output, and bound the minimal generator count of the presented module."""
-    assert coeff in COEFF_SPACES, coeff
+    if coeff not in COEFF_SPACES:
+        raise ValueError(f"unknown coefficient module {coeff!r}")
     presentation.check_rank(n)
     chosen = _resolve_families(families)
     ncols = generator_count_E(n)
@@ -835,10 +837,7 @@ def _account(
         for j, row in enumerate(residual_rows):
             for c, v in row.items():
                 mat.data[(col_of[c], j)] = v
-        ech = column_echelon(mat)
-        res = snf(ech)
-        res.verify(ech)
-        divisors = res.nonzero_divisors()
+        divisors = snf_cached(column_echelon(mat), None).nonzero_divisors()
     module = _lmodule_from_cokernel(len(survivors), divisors)
     return module.min_generators(), divisors, module
 

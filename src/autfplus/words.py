@@ -25,7 +25,8 @@ def multiply(*words: Iterable[int]) -> Word:
     out: list[int] = []
     for w in words:
         for a in w:
-            assert a != 0, "0 is not a letter"
+            if not a:
+                raise ValueError("0 is not a letter")
             if out and out[-1] == -a:
                 out.pop()
             else:

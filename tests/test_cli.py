@@ -529,14 +529,8 @@ def test_internal_inconsistency_maps_to_verify_exit(monkeypatch, capsys):
 
 _UNREACHED_BY_REASON = {
     "tests/test_acceptance.py builds the group ring and reads artefacts": {
-        "homology:GroupRingElt.from_word",
-        "homology:GroupRingElt.one",
-        "homology:GroupRingElt.zero",
         "homology:IntMatrix.parse",
         "homology:fox_derivative",
-    },
-    "tests build matrices entry by entry": {
-        "homology:IntMatrix.set",
     },
     "error paths": {
         "cli:_Parser.error",

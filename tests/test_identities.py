@@ -437,12 +437,12 @@ def test_an_unsound_canonical_relator_is_a_consistency_error(monkeypatch):
     # raised, not asserted, so that python -O keeps the check
     bad = reduced_relators(3)[5]
     monkeypatch.setattr(identities, "is_relator_elt", lambda n, w: w != bad.word)
-    identities._sound_labels.cache_clear()
+    identities._signed_table.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match=re.escape(bad.label)):
-            identities._sound_labels(3)
+            identities._signed_table(3)
     finally:
-        identities._sound_labels.cache_clear()
+        identities._signed_table.cache_clear()
 
 
 def test_expand_matches_a_factorwise_product():
