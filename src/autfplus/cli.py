@@ -16,12 +16,11 @@ path that cannot be written (checked before any work).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .homology import (
@@ -32,6 +31,7 @@ from .homology import (
     divisor_profile,
     five_term_data,
     h2_certificate,
+    sha256,
 )
 from .identities import CertificationError, identity_suite
 from .presentation import (
@@ -54,8 +54,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     n: int
     coeff: str  # "H", "Hdual", "both"; verify ignores it
@@ -332,7 +331,7 @@ def _certify_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict, bool]:
             "module": pres.module.describe(),
             "survivors": len(pres.survivors),
             "survivor_summary": survivor_summary(cfg.n, pres.survivors),
-            "manifest": [asdict(rep) for rep in pres.manifest],
+            "manifest": [rep._asdict() for rep in pres.manifest],
         },
         "certificate": {
             "ok": cert.ok,
@@ -379,7 +378,7 @@ def _emit(cfg: RunConfig, body: dict, timings: dict) -> None:
     doc = {
         "body": body,
         "meta": {
-            "report_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+            "report_hash": sha256(canonical.encode()).hexdigest(),
             "threads": cfg.threads,
             "timings": timings,
             "version": __version__,

@@ -20,17 +20,26 @@ never a source of results; the package has no runtime dependency.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import add, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+# The interpreter's own SHA-256, as random.py takes its SHA-512: importing
+# hashlib loads OpenSSL, about 3.7 MB of every run's peak RSS.  The one
+# sha256 of the package; cli imports it from here.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import presentation, words
 from .nielsen import COEFF_SPACES, H, induced_matrix
@@ -178,9 +187,9 @@ class IntMatrix:
     def dump(self) -> str:
         """Documented interchange format: first line 'nrows ncols', then one
         'row col value' line per nonzero, sorted by (row, col)."""
-        lines = [f"{self.nrows} {self.ncols}"]
-        lines.extend(f"{i} {j} {v}" for i, j, v in self.triplets())
-        return "\n".join(lines) + "\n"
+        lines = ["%d %d\n" % (self.nrows, self.ncols)]
+        lines += ["%d %d %d\n" % t for t in self.triplets()]
+        return "".join(lines)
 
     @classmethod
     def parse(cls, text: str) -> "IntMatrix":
@@ -214,7 +223,7 @@ class IntMatrix:
         sealed = self._sealed
         if sealed is not None and sealed[:3] == (self.data, self.nrows, self.ncols):
             return sealed[3]
-        return hashlib.sha256(self.dump().encode()).hexdigest()
+        return sha256(self.dump().encode()).hexdigest()
 
     def seal(self) -> str:
         """dump(), with its digest kept as the content hash, so that a written
@@ -223,7 +232,7 @@ class IntMatrix:
         rebound, the digest is kept only if the content is the same."""
         text = self.dump()
         self.data = MappingProxyType(dict(self.data))
-        digest = hashlib.sha256(text.encode()).hexdigest()
+        digest = sha256(text.encode()).hexdigest()
         self._sealed = (self.data, self.nrows, self.ncols, digest)
         return text
 
@@ -280,6 +289,7 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
     out = IntMatrix(n * X, n * len(rels))
     data = out.data
     eye = _eye_small(n)
+    zero = (0,) * n
     for r_idx, rel in enumerate(rels):
         w = rel.word
         s = len(w)
@@ -295,16 +305,13 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
         deltas: dict[int, dict[int, list[int]]] = {}
         for t, y in enumerate(w):
             sym = abs(y)
-            sign = 1 if y > 0 else -1
+            sign, op = (1, add) if y > 0 else (-1, sub)
             counts[sym] = counts.get(sym, 0) + sign
             delta = deltas.setdefault(sym, {})
             for i, row in (suffix[t + 1] if y > 0 else suffix[t]).items():
-                d = delta.get(i)
-                if d is None:
-                    d = delta[i] = [0] * n
-                for j in range(n):
-                    d[j] += sign * row[j]
+                d = list(map(op, delta.get(i) or zero, row))
                 d[i] -= sign
+                delta[i] = d
         base_col = r_idx * n
         for sym, c in counts.items():
             delta = deltas[sym]
@@ -316,9 +323,9 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
                         data[(base_row + i, base_col + i)] = c
                     continue
                 d[i] += c
-                for p in range(n):
-                    if d[p]:
-                        data[(base_row + i, base_col + p)] = d[p]
+                for p, x in enumerate(d):
+                    if x:
+                        data[(base_row + i, base_col + p)] = x
     return out
 
 
@@ -336,8 +343,7 @@ def check_chain_condition(d1: IntMatrix, phi: IntMatrix) -> None:
 # -- Smith normal form with transform witnesses ------------------------
 
 
-@dataclass
-class SNFResult:
+class SNFResult(NamedTuple):
     """U . A . V = diag(divisors), with U, V unimodular (inverses included).
 
     The four witnesses are held as row-major sparse rows {col: nonzero int};
@@ -566,8 +572,7 @@ def two_adic_split(d: int) -> tuple[int, int]:
     return k, d >> k
 
 
-@dataclass(frozen=True)
-class LModule:
+class LModule(NamedTuple):
     """Finitely generated module over Z[1/2]: free rank plus odd torsion."""
 
     free_rank: int
@@ -786,8 +791,7 @@ def _matrix_checkpoint(
 # -- the five-term pipeline --------------------------------------------
 
 
-@dataclass
-class FiveTermData:
+class FiveTermData(NamedTuple):
     """Everything the boundary side of the five-term sequence yields at (n, M)."""
 
     n: int
@@ -804,7 +808,7 @@ class FiveTermData:
     image_divisors: tuple[int, ...]
     h1: LModule
     modp_ranks: dict[int, int]
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float]
 
 
 def five_term_data(n: int, coeff: str, cache_dir: str | None = None) -> FiveTermData:
@@ -907,8 +911,7 @@ TRANSFER_REMARK = (
 )
 
 
-@dataclass(frozen=True)
-class H2Certificate:
+class H2Certificate(NamedTuple):
     bound: int
     image_coker: LModule  # ker(d1) / image, over L
     ok: bool

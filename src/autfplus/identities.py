@@ -16,7 +16,6 @@ an inverse-pair product (``eq41_null``) around the order-4 monomial word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations
 from operator import neg
@@ -117,20 +116,20 @@ def _conj_factors(fs: Sequence[Factor], u: Word) -> tuple:
     return tuple(f.conjugated(u) for f in fs)
 
 
-@dataclass(frozen=True)
-class RelatorExpression:
-    """Formal product of conjugated relators over the rank-n alphabet."""
+class RelatorExpression(NamedTuple("RelatorExpression", [("n", int), ("factors", tuple)])):
+    """Formal product of conjugated relators over the rank-n alphabet; each
+    factor is checked against the relator table when the product is made."""
 
-    n: int
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        table = _signed_table(self.n)
-        for f in self.factors:
+    def __new__(cls, n: int, factors: tuple):
+        table = _signed_table(n)
+        for f in factors:
             if (f.relator, f.exponent) not in table:
                 if f.exponent not in (1, -1):
                     raise ValueError(f"exponent must be +-1, got {f.exponent}")
                 raise ValueError(f"unknown relator label {f.relator!r}")
+        return super().__new__(cls, n, factors)
 
     def expand(self) -> Word:
         # Consecutive factors u r u^-1 and v s v^-1 meet as u^-1 v, so only
@@ -163,8 +162,7 @@ class RelatorExpression:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class IdentityCertificate:
+class IdentityCertificate(NamedTuple):
     lhs: Word
     rhs: RelatorExpression
     residual: Word
@@ -560,8 +558,7 @@ def _fmt_tuple(*parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
 
-@dataclass
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     family: str
     instance: str
     certificate: IdentityCertificate

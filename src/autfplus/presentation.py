@@ -17,11 +17,10 @@ lexicographic in the index tuples, so the lists are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import words
 from .nielsen import Automorphism, identity_aut, monomial_letter_perm, nielsen_aut
@@ -130,8 +129,7 @@ def relator_label(family: str, *idx: int) -> str:
     return f"{family}({','.join(map(str, idx))})"
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     label: str
     family: str
     indices: tuple[int, ...]

@@ -23,12 +23,11 @@ from __future__ import annotations
 import heapq
 import resource
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import gcd
 from operator import add, neg, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import presentation, words
 from .homology import (
@@ -606,8 +605,7 @@ class ExactEliminator:
 # -- harvest -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     tag: str
     name: str
     instances: int
@@ -617,8 +615,7 @@ class FamilyReport:
     unique_rows: int
 
 
-@dataclass
-class ModulePresentation:
+class ModulePresentation(NamedTuple):
     n: int
     coeff: str
     generator_count: int
@@ -634,9 +631,9 @@ class ModulePresentation:
     # spent collecting (in all and per family), eliminating and auditing
     # rows, and the process's high-water RSS after collection and after
     # elimination
-    stats: dict[str, int] = field(default_factory=dict)
-    timings: dict[str, float | dict[str, float]] = field(default_factory=dict)
-    peak_rss_kib: dict[str, int] = field(default_factory=dict)
+    stats: dict[str, int]
+    timings: dict[str, float | dict[str, float]]
+    peak_rss_kib: dict[str, int]
 
 
 class HarvestError(RuntimeError):

@@ -604,3 +604,28 @@ def test_src_functions_are_reached_or_listed(tmp_path):
     listed = set().union(*_UNREACHED_BY_REASON.values())
     assert sorted(unreached - listed) == [], "never run: move to tests/ or delete"
     assert sorted(listed - unreached) == [], "listed but run or gone: unlist"
+
+
+# -- start-up ----------------------------------------------------------
+
+_START_UP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import autfplus.cli
+print(sorted(m for m in ("_hashlib", "hashlib", "dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def test_importing_the_cli_loads_no_openssl_or_dataclasses():
+    # every run pays for what the import loads: OpenSSL through hashlib,
+    # and inspect, ast and dis through dataclasses, are megabytes and
+    # milliseconds that no certificate needs; -S keeps site's imports out
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _START_UP, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ itself.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -569,35 +568,35 @@ def test_snf_verify_catches_tampering():
     def stored(field, i, j, x):
         rows = [dict(row) for row in getattr(res, field)]
         rows[i][j] = x
-        return dataclasses.replace(res, **{field: rows})
+        return res._replace(**{field: rows})
 
     def changed(field, i, j):  # one entry off by one; none of them becomes 0
         return stored(field, i, j, getattr(res, field)[i].get(j, 0) + 1)
 
     assert 0 not in res.v_rows[0]  # so that a stored zero there changes no product
     tampered = [
-        dataclasses.replace(res, divisors=(res.divisors[0], res.divisors[1] + 2)),
+        res._replace(divisors=(res.divisors[0], res.divisors[1] + 2)),
         changed("u_rows", 0, 1),
         changed("uinv_rows", 1, 0),
         changed("v_rows", 2, 2),
         changed("vinv_rows", 0, 2),
-        dataclasses.replace(res, divisors=(2, 1)),  # chain order broken
+        res._replace(divisors=(2, 1)),  # chain order broken
         # a divisor too many or too few: raised, not asserted, so that
         # python -O keeps the check
-        dataclasses.replace(res, divisors=res.divisors + res.divisors[-1:]),
-        dataclasses.replace(res, divisors=res.divisors[:1]),
+        res._replace(divisors=res.divisors + res.divisors[-1:]),
+        res._replace(divisors=res.divisors[:1]),
     ]
     # the shape check names the witness; it runs before any product, which
     # would raise IndexError on a column >= k, or would not see a stored zero
     misshapen = [
-        dataclasses.replace(res, uinv_rows=res.v_rows),  # witness of the wrong shape
+        res._replace(uinv_rows=res.v_rows),  # witness of the wrong shape
         # faults only sparse rows can hold
         stored("v_rows", 0, 0, 0),  # a stored zero
         stored("u_rows", 0, 2, 1),  # a column index >= k
         stored("v_rows", 1, 3, 1),
         stored("u_rows", 1, -1, 1),  # a column index < 0
         stored("v_rows", 0, -3, 1),
-        dataclasses.replace(res, v_rows=res.v_rows[:2]),  # a missing row
+        res._replace(v_rows=res.v_rows[:2]),  # a missing row
     ]
     for bad in tampered:
         with pytest.raises(ConsistencyError):
@@ -728,6 +727,19 @@ def test_cli_runs_without_numpy(tmp_path):
     for command, n in (("homology", 5), ("certify-h2", 3)):
         want = expected[command][str(n)]
         assert got[command] == [want["exit"], want["report_hash"]], command
+
+
+def test_the_shared_sha256_is_hashlib_sha256():
+    # report_hash, content_hash and seal all hash through homology.sha256
+    data = [
+        b"",
+        b"phi-n4-H.mat",
+        "\u00e9\u2202\u03c6 \U0001d53d".encode(),  # non-ASCII, as UTF-8
+        bytes(range(256)) * 4096,  # 1 MiB
+        phi_matrix(4, "H").dump().encode(),
+    ]
+    for x in data:
+        assert homology.sha256(x).hexdigest() == hashlib.sha256(x).hexdigest()
 
 
 def test_column_echelon_preserves_the_image_lattice():

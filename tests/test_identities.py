@@ -601,10 +601,10 @@ _BAD_FACTORS = (Factor((), "R9-9(1,2)", 1), Factor((), "R4-1(1,2)", 2))
 ], ids=("eq21-canon_r", "eq21-base_case", "eq41-canon_h", "eq41-base_case",
         "power_split-base_case"))
 def test_a_bad_factor_in_any_null_piece_raises(monkeypatch, source, build, bad):
-    # a null, and a transport chain, join pieces whose factors were checked
-    # when each piece was built, and do not check them again; so a bad label
-    # or exponent slipped into the factors behind any one piece must still
-    # raise as that piece is built
+    # every RelatorExpression checks its factors when it is made, the pieces
+    # of a null or transport chain and the joined product alike; so a bad
+    # label or exponent slipped into the factors behind any one piece must
+    # raise, whichever of those expressions first holds it
     real = getattr(identities, source)
     assert build().verified  # warm the caches, so every build makes the same calls
     calls = []

@@ -21,6 +21,7 @@ from autfplus.homology import (
     ConsistencyError,
     IntMatrix,
     LModule,
+    SNFResult,
     five_term_data,
     phi_matrix,
     rank_mod_p,
@@ -268,18 +269,15 @@ def test_account_verifies_the_residual_snf(monkeypatch):
     survivors = [2, 5, 7]
     residual = [{2: 3, 5: 5}, {2: 5, 5: 3, 7: 6}, {7: 9}]
     checked = []
-    real_snf = homology.snf
-
-    def spied(a):
-        res = real_snf(a)
-        verify = res.verify
-        res.verify = lambda mat: (checked.append(mat), verify(mat))
-        return res
-
-    monkeypatch.setattr(homology, "snf", spied)
+    verify = SNFResult.verify
+    monkeypatch.setattr(
+        SNFResult, "verify", lambda res, mat: (checked.append(mat), verify(res, mat))
+    )
     bound, divisors, module = _account(survivors, residual)
     assert len(checked) == 1
     assert divisors == (1, 1, 144) and bound == 1 and module == LModule(0, (9,))
+
+    real_snf = homology.snf
 
     def tampered(a):
         res = real_snf(a)
