@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from functools import lru_cache
 from itertools import chain
@@ -724,15 +723,19 @@ CROSS_CHECK_PRIMES = (3, 5, 7)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    """Write the text to path through a temp file."""
+    """Write the text to path through a temp file beside it, created with
+    the mode open() would give it (0o666 less the umask)."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    k = 0
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.getpid()}-{k}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            k += 1
     try:
-        # mkstemp creates 0600; give the file the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)

@@ -393,14 +393,14 @@ def _merge(
     piv: dict[int, int],
     c: int,
     rid: int,
-    col_rows: list[set[int]],
+    col_rows: list[list[int]],
     occ: list[int],
 ) -> int:
     """row <- 2^k * row - s*v * piv, clearing column c (pivot entry s*2^k).
 
-    Row rid is `row`: each column it loses or gains leaves or joins the
-    column index `col_rows` and moves its count in `occ`.  Returns the
-    number of columns it gained.
+    Row rid is `row`: each column it loses or gains moves its count in
+    `occ`, and each column it gains joins the column index `col_rows`.
+    Returns the number of columns it gained.
     """
     u = piv[c]
     k = _ELIGIBLE[u]  # the pivot entry is eligible by construction
@@ -414,7 +414,7 @@ def _merge(
         old = row.get(cc)
         if old is None:
             row[cc] = -mult * pv
-            col_rows[cc].add(rid)
+            col_rows[cc].append(rid)
             occ[cc] += 1
             fill += 1
         else:
@@ -423,7 +423,6 @@ def _merge(
                 row[cc] = nv
             else:
                 del row[cc]
-                col_rows[cc].discard(rid)
                 occ[cc] -= 1
     # the pivot's own entry cancels v exactly; re-derived at run time by
     # _audit_elimination, which refuses any row left at a pivot column
@@ -445,10 +444,13 @@ class ExactEliminator:
     L-lattice exactly and justifies counting the bound as
     (columns) - (pivots) - (L-unit divisors of the residual).
 
-    `col_rows[c]` is the set of live rows with an entry at column c, and
-    `occ[c]` is its size, the occupancy every score reads.  Both change
-    together: a retired row leaves them in `_drop_row`, and a merge updates
-    them for each column its row loses or gains.
+    `occ[c]` counts the live rows with an entry at column c, the occupancy
+    every score reads.  `col_rows[c]` is an append-only list of row ids: a
+    row joins it when it gains c and never leaves, and retiring c merges
+    into the distinct listed rows that are still live and still hold c.
+    That is exact: every live row that holds c gained it after the list was
+    last drained, so the list names it; a retired column never reappears in
+    a row, so a drained list stays empty.
 
     The pivot search is a lazy heap of (score, k, family, column, row)
     keys.  A popped key is checked against the row's current state: a dead
@@ -471,11 +473,11 @@ class ExactEliminator:
         self.ncols = ncols
         self.fam_rank = _family_rank_by_col(n)
         self.rows: list[dict[int, int] | None] = rows
-        self.col_rows: list[set[int]] = [set() for _ in range(ncols)]
+        self.col_rows: list[list[int]] = [[] for _ in range(ncols)]
         for rid, row in enumerate(self.rows):
             for c in row:
-                self.col_rows[c].add(rid)
-        self.occ: list[int] = [len(s) for s in self.col_rows]
+                self.col_rows[c].append(rid)
+        self.occ: list[int] = [len(ids) for ids in self.col_rows]
         self.pivot_cols: list[int] = []
         self.pivot_rows: list[dict[int, int]] = []
         # heap pops by what they found, pushes skipped as already queued,
@@ -523,9 +525,8 @@ class ExactEliminator:
             heapq.heappush(self._heap, entry)
 
     def _drop_row(self, rid: int) -> None:
-        col_rows, occ = self.col_rows, self.occ
+        occ = self.occ
         for c in self.rows[rid]:
-            col_rows[c].discard(rid)
             occ[c] -= 1
         self.rows[rid] = None
 
@@ -569,7 +570,7 @@ class ExactEliminator:
             self._drop_row(rid)
             self.pivot_cols.append(c)
             self.pivot_rows.append(piv)
-            for rid2 in sorted(col_rows[c]):
+            for rid2 in sorted({r for r in col_rows[c] if c in (rows[r] or ())}):
                 tgt = rows[rid2]
                 st["fill"] += _merge(tgt, piv, c, rid2, col_rows, occ)
                 st["merges"] += 1
@@ -578,9 +579,9 @@ class ExactEliminator:
                     rows[rid2] = None
                 else:
                     push(rid2, tgt.items())
-            # column c is drained (occ[c] is 0); a fresh set releases its
-            # grown table
-            col_rows[c] = set()
+            # column c is drained (occ[c] is 0) and never filled again; a
+            # fresh list releases the old one
+            col_rows[c] = []
 
     def finish(self) -> tuple[list[int], list[dict[int, int]]]:
         self.run()

@@ -30,7 +30,7 @@ from autfplus.cli import (
     main,
     parse_config,
 )
-from autfplus.homology import IntMatrix
+from autfplus.homology import IntMatrix, _atomic_write_text
 from autfplus.reduction import FAMILY_TAGS
 
 
@@ -439,6 +439,24 @@ def test_out_into_missing_directory_writes_a_report(tmp_path, capsys):
     assert report_path.stat().st_mode == plain.stat().st_mode
 
 
+def test_a_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    # a directory at the target path makes the final os.replace fail
+    target = tmp_path / "report.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        _atomic_write_text(str(target), "{}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_atomic_write_steps_past_a_taken_temp_name(tmp_path):
+    taken = tmp_path / f".tmp-{os.getpid()}-0.part"
+    taken.write_text("someone else's")
+    _atomic_write_text(str(tmp_path / "report.json"), "{}")
+    assert (tmp_path / "report.json").read_text() == "{}"
+    assert taken.read_text() == "someone else's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "report.json"]
+
+
 # The benchmark's report-hash gate, read from its own file so the promise of
 # byte-identical bodies is enforced by the test suite as well.
 _EXPECTED = json.loads(
@@ -612,14 +630,16 @@ _START_UP = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import autfplus.cli
-print(sorted(m for m in ("_hashlib", "hashlib", "dataclasses", "inspect") if m in sys.modules))
+print(sorted(m for m in ("_hashlib", "hashlib", "dataclasses", "inspect", "tempfile")
+             if m in sys.modules))
 """
 
 
 def test_importing_the_cli_loads_no_openssl_or_dataclasses():
     # every run pays for what the import loads: OpenSSL through hashlib,
-    # and inspect, ast and dis through dataclasses, are megabytes and
-    # milliseconds that no certificate needs; -S keeps site's imports out
+    # inspect, ast and dis through dataclasses, and random and shutil
+    # through tempfile, are megabytes and milliseconds that no certificate
+    # needs; -S keeps site's imports out
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-S", "-c", _START_UP, str(src)],

@@ -12,6 +12,7 @@ import hashlib
 import heapq
 import json
 import random
+from collections import defaultdict
 from functools import lru_cache
 
 import pytest
@@ -439,12 +440,18 @@ class _ReferenceEliminator(ExactEliminator):
 
 
 def _assert_occupancy_counts(elim):
-    """Every column's counter equals the size of its row set, and the row
-    sets hold exactly the live rows' entries."""
-    assert elim.occ == [len(s) for s in elim.col_rows]
-    assert {(c, rid) for c, s in enumerate(elim.col_rows) for rid in s} == {
-        (c, rid) for rid, row in enumerate(elim.rows) if row for c in row
-    }
+    """Every column's counter equals the number of live rows holding it,
+    counted from the rows; every live entry (c, rid) is listed in
+    `col_rows[c]`; and the listed rows, filtered to live holders of their
+    column, are exactly those entries."""
+    live = {(c, rid) for rid, row in enumerate(elim.rows) if row for c in row}
+    counts = [0] * elim.ncols
+    for c, _ in live:
+        counts[c] += 1
+    assert elim.occ == counts
+    listed = {(c, rid) for c, ids in enumerate(elim.col_rows) for rid in ids}
+    assert live <= listed
+    assert {(c, rid) for c, rid in listed if c in (elim.rows[rid] or ())} == live
 
 
 _POPS = ("dead_row", "column_gone", "ineligible", "score_raised", "score_lowered")
@@ -511,6 +518,29 @@ def test_eliminator_keeps_the_reference_pivot_order():
             ran[name] += elim.stats[name]
         assert ref.stats["skipped"] == 0
     assert all(ran.values()), ran
+
+
+def test_a_merge_that_does_not_list_a_gained_column_is_caught(monkeypatch):
+    real = reduction._merge
+
+    def merge(row, piv, c, rid, col_rows, occ):
+        # counts every gained column in occ, but lists it in a throwaway index
+        return real(row, piv, c, rid, defaultdict(list), occ)
+
+    monkeypatch.setattr(reduction, "_merge", merge)
+    caught = 0
+    for ncols, rows in _order_cases():
+        ref = _ReferenceEliminator(3, ncols, [dict(r) for r in rows])
+        ref.finish()
+        elim = ExactEliminator(3, ncols, [dict(r) for r in rows])
+        elim.finish()
+        try:
+            _assert_occupancy_counts(elim)
+        except AssertionError:
+            caught += 1
+            continue
+        caught += (elim.pivot_cols, elim.pivot_rows) != (ref.pivot_cols, ref.pivot_rows)
+    assert caught
 
 
 def test_eliminator_works_on_the_list_it_is_given():
