@@ -892,7 +892,7 @@ def test_fox_definition_catches_a_zeroed_phi_column():
     assert bad != _fox_phi(n, coeff)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("coeff", ["H", "Hdual"])
 def test_phi_keeps_the_dense_assembly_order(n, coeff):
     assert list(phi_matrix(n, coeff).data.items()) == list(_reference_phi(n, coeff).data.items())
@@ -907,6 +907,8 @@ PHI_SHA256 = {
     (5, "Hdual"): "c94fa7a5ab8f26270c75acc5096015df52fe59cfbc238f3f04a8636c334a5d27",
     (6, "H"): "a2e197b0717f5eba5d854c62c695301799887666555a4386b8b3e0c051b6c991",
     (6, "Hdual"): "c63b74795e6225977315f6292e0250d55db2a49890d92165d4be338ef13af191",
+    (7, "H"): "31c9175f6a16749b05429efb1992943cfd52459921b593cfc6c7a0bef1ac8d28",
+    (7, "Hdual"): "d1357d01a57325b64252d11faa9d11ab58395fc15b0e944c8d197b009a0d7bc1",
 }
 
 
@@ -934,6 +936,10 @@ DATA_ORDER_SHA256 = {
     (6, "H", "phi"): "8e4976c3e7a61464fa2f56bf0c31a4187d76c93814212fe52400e1c63fb90b09",
     (6, "Hdual", "d1"): "02a20e1db9bdbb9fb748b3c60fc98e69e050b61e7081aae4582a2d542fb5ab2a",
     (6, "Hdual", "phi"): "cd6050b268518212ad01866b91b6d3615c713f30b2905bcb9c38ab9181c4ce9c",
+    (7, "H", "d1"): "a86ebd7b14c6ddf94ec9f89913f49506e26601eace1e2cc768eb5dd79dc1b234",
+    (7, "H", "phi"): "c140d29a5af7421ff531ccb0e1cdc166976103bcfa0458e2049016707e51a294",
+    (7, "Hdual", "d1"): "afcfc3c7b1ecfb214867854cd66e30ff2d9623568d39894b41cbacd5f9a24529",
+    (7, "Hdual", "phi"): "23f2e714db2464c0aa3bf72faef99512920d8e7d76e2dd7a41aa25dd68fd193e",
 }
 
 
