@@ -42,7 +42,7 @@ except ImportError:
 
 from . import presentation, words
 from .nielsen import COEFF_SPACES, H, induced_matrix
-from .presentation import gen_count, reduced_relators, symbol_aut
+from .presentation import gen_count, gen_symbols, reduced_relators, symbol_aut, symbol_of_pair
 from .words import Word
 
 
@@ -263,6 +263,23 @@ def d1_matrix(n: int, coeff: str) -> IntMatrix:
     return out
 
 
+def _fox_blocks(n: int, coeff: str, w: Word) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Relator word w's nonzero blocks by the definition: block x is the sum
+    of the actions of w[t+1:] at each letter x, less those of w[t:] at each
+    x^-1, as dense products.  Gives (x, [(row, col, value), ...]) by the
+    first appearance of x in w, each block's entries by (row, col)."""
+    suffix = [_eye_small(n)] * (len(w) + 1)
+    for t in range(len(w) - 1, -1, -1):
+        suffix[t] = _letter_times(n, coeff, w[t], suffix[t + 1])
+    blocks: dict[int, list[list[int]]] = {}
+    for t, y in enumerate(w):
+        m, op = (suffix[t + 1], add) if y > 0 else (suffix[t], sub)
+        blk = blocks.get(abs(y), ((0,) * n,) * n)
+        blocks[abs(y)] = [list(map(op, a, b)) for a, b in zip(blk, m)]
+    return [(x, [(i, p, v) for i, row in enumerate(blk) for p, v in enumerate(row) if v])
+            for x, blk in blocks.items()]
+
+
 @lru_cache(maxsize=None)
 def phi_matrix(n: int, coeff: str) -> IntMatrix:
     """Relator columns inside the block sum: n*|X| rows by n*|R| columns.
@@ -270,12 +287,16 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
     Column (r, p) carries, in each symbol block x, the evaluated right
     derivative of r with respect to x applied to the p-th basis vector.
 
-    Every letter acts by an elementary transvection (`_transvection`): the
-    identity except for one row, which has two entries.  So the action of a suffix w[t:]
-    differs from the identity in at most len(w) - t rows, and each suffix
-    is carried as {row: dense row} over those rows only.  Block x is then
-    (signed count of x) * I plus the signed sum of (suffix - I), which is
-    nonzero only on the carried rows.
+    A family's instance R(i, j, ...) is its first word with each letter
+    index k moved to sigma(k): the first instance's indices go to
+    (i, j, ...), the others to the rest in increasing order.  sigma acts on
+    M by a permutation matrix P, the symbol sigma(x) acts as P (action of x)
+    P^-1, and Fox calculus commutes with the renaming, so entry (k, p) of
+    block x of the first instance is entry (sigma k, sigma p) of block
+    sigma(x) here.  Only first instances are computed (`_fox_blocks`).  A
+    word that is not the renamed first word, or a family's last instance
+    whose renamed blocks are not its own `_fox_blocks`, raises
+    ConsistencyError.
 
     Entries are inserted relator by relator, block by the symbol's first
     appearance in the word, then row, then column.  The column echelon
@@ -284,47 +305,35 @@ def phi_matrix(n: int, coeff: str) -> IntMatrix:
     """
     presentation.check_rank(n)
     rels = reduced_relators(n)
-    X = gen_count(n)
-    out = IntMatrix(n * X, n * len(rels))
-    data = out.data
-    eye = _eye_small(n)
-    zero = (0,) * n
-    for r_idx, rel in enumerate(rels):
-        w = rel.word
-        s = len(w)
-        # suffix[t]: the rows where the action of w[t:] leaves the identity
-        suffix: list[dict[int, tuple[int, ...]]] = [{}] * (s + 1)
-        for t in range(s - 1, -1, -1):
-            prev = suffix[t + 1]
-            i, j, op = _transvection(n, coeff, w[t])
-            cur = dict(prev)
-            cur[i] = tuple(map(op, prev.get(i) or eye[i], prev.get(j) or eye[j]))
-            suffix[t] = cur
-        counts: dict[int, int] = {}
-        deltas: dict[int, dict[int, list[int]]] = {}
-        for t, y in enumerate(w):
-            sym = abs(y)
-            sign, op = (1, add) if y > 0 else (-1, sub)
-            counts[sym] = counts.get(sym, 0) + sign
-            delta = deltas.setdefault(sym, {})
-            for i, row in (suffix[t + 1] if y > 0 else suffix[t]).items():
-                d = list(map(op, delta.get(i) or zero, row))
-                d[i] -= sign
-                delta[i] = d
-        base_col = r_idx * n
-        for sym, c in counts.items():
-            delta = deltas[sym]
-            base_row = (sym - 1) * n
-            for i in range(n):
-                d = delta.get(i)
-                if d is None:
-                    if c:
-                        data[(base_row + i, base_col + i)] = c
-                    continue
-                d[i] += c
-                for p, x in enumerate(d):
-                    if x:
-                        data[(base_row + i, base_col + p)] = x
+    out = IntMatrix(n * gen_count(n), n * len(rels))
+    pair_symbol = symbol_of_pair(n)
+    last = {rel.family: r_idx for r_idx, rel in enumerate(rels)}
+    first: dict[str, tuple] = {}
+    for r_idx, (label, family, indices, word) in enumerate(rels):
+        # sigma on 0-based indices; the first instance's is the identity,
+        # or its own word fails the check below
+        to = [k - 1 for k in indices] + [k for k in range(n) if k + 1 not in indices]
+        if family not in first:
+            blocks = _fox_blocks(n, coeff, word)
+            first[family] = word, blocks, [(x, *gen_symbols(n)[x - 1]) for x, _ in blocks]
+        base, blocks, pairs = first[family]
+        ren = {}
+        for x, a, b in pairs:
+            y = pair_symbol[to[a - 1] + 1 if a > 0 else -to[-a - 1] - 1, to[b - 1] + 1]
+            ren[x], ren[-x] = y, -y
+        if list(word) != [ren[y] for y in base]:
+            raise ConsistencyError(f"{label} is not its family's first word renamed")
+        col = r_idx * n
+        placed = []
+        for x, ents in blocks:
+            row = (ren[x] - 1) * n
+            placed += sorted([((row + to[k], col + to[p]), v) for k, p, v in ents])
+        if r_idx == last[family] and placed != [
+            (((x - 1) * n + k, col + p), v)
+            for x, ents in _fox_blocks(n, coeff, word) for k, p, v in ents
+        ]:
+            raise ConsistencyError(f"{label}: its renamed blocks are not its Fox derivatives")
+        out.data.update(placed)
     return out
 
 

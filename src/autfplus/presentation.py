@@ -49,7 +49,7 @@ def gen_symbols(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _symbol_of_pair(n: int) -> dict[tuple[int, int], int]:
+def symbol_of_pair(n: int) -> dict[tuple[int, int], int]:
     """(a, b) -> signed symbol: the inverse of gen_symbols, a negative
     target naming the inverse symbol."""
     out = {}
@@ -65,7 +65,7 @@ def embed_E(n: int, a: int, b: int) -> Word:
     A negative target letter b yields the inverse of the symbol with
     target -b (the inverse-pair relator holds by construction).
     """
-    s = _symbol_of_pair(n).get((a, b))
+    s = symbol_of_pair(n).get((a, b))
     if s is None:
         raise ValueError(f"invalid letter pair ({a}, {b}) at rank {n}")
     return (s,)

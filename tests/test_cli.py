@@ -540,6 +540,26 @@ def test_internal_inconsistency_maps_to_verify_exit(monkeypatch, capsys):
     assert "ConsistencyError" in err
 
 
+def test_a_misnamed_relator_instance_stops_homology(monkeypatch, capsys):
+    # phi places each relator instance by renaming its family's first
+    # word; the chain condition passes a permuted column, so an instance
+    # whose indices do not rename that word must stop the run with exit 2
+    from autfplus import homology
+
+    rels = list(homology.reduced_relators(4))
+    k = next(k for k, rel in enumerate(rels) if rel.label == "R2-2(1,2,4)")
+    rels[k] = rels[k]._replace(indices=(2, 1, 4))
+    monkeypatch.setattr(homology, "reduced_relators", lambda n: tuple(rels))
+    homology.phi_matrix.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "homology", "--n", "4")
+    finally:
+        homology.phi_matrix.cache_clear()
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert "ConsistencyError: R2-2(1,2,4) is not its family's first word renamed" in err
+
+
 # -- src holds what the commands run -----------------------------------
 # Every function and method in src is entered by one of three small runs,
 # or is listed here with the reason it stays.  A helper that no command

@@ -21,6 +21,7 @@ import re
 import subprocess
 import sys
 from functools import lru_cache
+from operator import add, sub
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ from autfplus.homology import (
     snf_cached,
     two_adic_split,
 )
-from autfplus.presentation import gen_count, reduced_relators
+from autfplus.presentation import embed_E, gen_count, reduced_relators
 from test_nielsen import letter_action
 
 # -- fox calculus -------------------------------------------------------
@@ -845,9 +846,10 @@ def _phi_matrix_left_derivative(n, coeff) -> IntMatrix:
 
 
 def _reference_phi(n, coeff) -> IntMatrix:
-    """The dense assembly phi_matrix used before it carried only the
-    non-identity rows of each suffix: full n x n suffix actions and one
-    dense block per symbol, scattered relator, block, row, column."""
+    """The dense assembly of every relator: full n x n suffix actions and
+    one dense block per symbol, scattered relator, block, row, column.
+    phi_matrix assembles only each family's first instance this way and
+    places the others by renaming their indices."""
     rels = reduced_relators(n)
     out = IntMatrix(n * gen_count(n), n * len(rels))
     eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -896,6 +898,50 @@ def test_fox_definition_catches_a_zeroed_phi_column():
 @pytest.mark.parametrize("coeff", ["H", "Hdual"])
 def test_phi_keeps_the_dense_assembly_order(n, coeff):
     assert list(phi_matrix(n, coeff).data.items()) == list(_reference_phi(n, coeff).data.items())
+
+
+def test_a_permuted_phi_column_passes_the_chain_condition():
+    # every column of phi lies in ker(d1) on its own, so the chain
+    # condition cannot see two columns of one relator swapped
+    n, coeff = 4, "H"
+    phi = phi_matrix(n, coeff)
+    col = {0: 1, 1: 0}  # the first relator's columns for e_1 and e_2
+    swapped = IntMatrix(phi.nrows, phi.ncols, {(i, col.get(j, j)): v for (i, j), v in phi.data.items()})
+    assert swapped != phi
+    check_chain_condition(d1_matrix(n, coeff), swapped)
+
+
+@pytest.fixture
+def fresh_phi():
+    phi_matrix.cache_clear()
+    yield
+    phi_matrix.cache_clear()
+
+
+def test_phi_refuses_an_instance_that_is_not_its_first_word_renamed(monkeypatch, fresh_phi):
+    # R2-2(1,2,4) given the indices (2,1,4): renamed by those, the first
+    # word is not the instance's word
+    rels = list(reduced_relators(4))
+    k = next(k for k, rel in enumerate(rels) if rel.label == "R2-2(1,2,4)")
+    rels[k] = rels[k]._replace(indices=(2, 1, 4))
+    monkeypatch.setattr(homology, "reduced_relators", lambda n: tuple(rels))
+    with pytest.raises(ConsistencyError, match=r"R2-2\(1,2,4\) is not"):
+        phi_matrix(4, "H")
+
+
+def test_phi_rechecks_each_family_last_instance(monkeypatch, fresh_phi):
+    # renaming is sound only for an action that commutes with renaming the
+    # indices; E(3,+,2) acting with the wrong sign breaks that, and the
+    # last R2-1 instance, R2-1(3,2), recomputed from its word, shows it
+    bad = embed_E(3, 3, 2)[0]
+
+    def transvection(n, coeff, s):
+        i, j, op = _transvection(n, coeff, s)
+        return (i, j, sub if op is add else add) if abs(s) == bad else (i, j, op)
+
+    monkeypatch.setattr(homology, "_transvection", transvection)
+    with pytest.raises(ConsistencyError, match=r"R2-1\(3,2\): its renamed blocks"):
+        phi_matrix(3, "H")
 
 
 PHI_SHA256 = {

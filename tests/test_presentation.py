@@ -30,6 +30,23 @@ from autfplus.words import inverse, multiply
 EXPECTED_RELATOR_COUNTS = {3: 66, 4: 300, 5: 900, 6: 2130}
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_every_instance_renames_its_family_first_word(n):
+    # homology.phi_matrix computes each family's first instance only and
+    # places the others by renaming the indices: the first instance is
+    # R(1, 2, ...), and R(i, j, ...) is its word with 1, 2, ... sent to
+    # i, j, ...
+    first = {}
+    for rel in reduced_relators(n):
+        base = first.setdefault(rel.family, rel)
+        assert base.indices == tuple(range(1, len(base.indices) + 1)), base.label
+        assert len(rel.indices) == len(base.indices)
+        sigma = dict(zip(base.indices, rel.indices))
+        move = lambda a: sigma[abs(a)] if a > 0 else -sigma[abs(a)]
+        renamed = tuple(embed_E(n, *map(move, letters_of_symbol(n, y)))[0] for y in base.word)
+        assert rel.word == renamed, rel.label
+
+
 def test_check_rank():
     with pytest.raises(ValueError):
         check_rank(2)
