@@ -550,11 +550,8 @@ def test_a_misnamed_relator_instance_stops_homology(monkeypatch, capsys):
     k = next(k for k, rel in enumerate(rels) if rel.label == "R2-2(1,2,4)")
     rels[k] = rels[k]._replace(indices=(2, 1, 4))
     monkeypatch.setattr(homology, "reduced_relators", lambda n: tuple(rels))
-    homology.phi_matrix.cache_clear()
-    try:
-        code, out, err = run_cli(capsys, "homology", "--n", "4")
-    finally:
-        homology.phi_matrix.cache_clear()
+    homology.phi_matrix.cache_clear()  # so phi is rebuilt; a call that raises leaves no entry
+    code, out, err = run_cli(capsys, "homology", "--n", "4")
     assert code == EXIT_VERIFY
     assert out == ""
     assert "ConsistencyError: R2-2(1,2,4) is not its family's first word renamed" in err
