@@ -266,18 +266,25 @@ def _rounded(timings: dict) -> dict:
     return {k: _rounded(v) if isinstance(v, dict) else round(v, 3) for k, v in timings.items()}
 
 
+def _homology_module(cfg: RunConfig, coeff: str) -> tuple[dict, dict]:
+    """One coefficient module's report block and timings.  Its five-term
+    data, d1 and phi included, ends with this call."""
+    t0 = time.perf_counter()
+    data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
+    block = _homology_block(data)
+    timings = {
+        "total": round(time.perf_counter() - t0, 3),
+        "five_term": _rounded(data.timings),
+        "peak_rss_kib": {"five_term": peak_rss_kib()},
+    }
+    return block, timings
+
+
 def cmd_homology(cfg: RunConfig) -> tuple[int, dict, dict]:
     results: dict = {}
     timings: dict = {}
     for coeff in cfg.coeffs:
-        t0 = time.perf_counter()
-        data = five_term_data(cfg.n, coeff, cache_dir=cfg.cache_dir)
-        results[coeff] = _homology_block(data)
-        timings[coeff] = {
-            "total": round(time.perf_counter() - t0, 3),
-            "five_term": _rounded(data.timings),
-            "peak_rss_kib": {"five_term": peak_rss_kib()},
-        }
+        results[coeff], timings[coeff] = _homology_module(cfg, coeff)
     body = {"command": "homology", "n": cfg.n, "results": results}
     return EXIT_OK, body, timings
 

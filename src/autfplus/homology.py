@@ -250,7 +250,6 @@ class IntMatrix:
 # -- boundary and relator-column matrices ------------------------------
 
 
-@lru_cache(maxsize=None)
 def d1_matrix(n: int, coeff: str) -> IntMatrix:
     """Block boundary, n rows by n*|X| columns; x-block is (action of x) - I."""
     presentation.check_rank(n)
@@ -280,7 +279,6 @@ def _fox_blocks(n: int, coeff: str, w: Word) -> list[tuple[int, list[tuple[int, 
             for x, blk in blocks.items()]
 
 
-@lru_cache(maxsize=None)
 def phi_matrix(n: int, coeff: str) -> IntMatrix:
     """Relator columns inside the block sum: n*|X| rows by n*|R| columns.
 

@@ -338,6 +338,26 @@ def test_homology_does_not_read_back_snf_or_echelon_entries(tmp_path, capsys):
     assert echelon.read_text() == text
 
 
+def test_a_homology_module_leaves_nothing_behind(capsys):
+    # each module's five-term data, d1 and phi with it, dies with the
+    # module; only the per-rank tables, warmed by the first run, stay
+    import gc
+    import tracemalloc
+
+    assert run_cli(capsys, "homology", "--n", "4", "--coeff", "H")[0] == EXIT_OK
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["homology", "--n", "4", "--coeff", "both"])
+        capsys.readouterr()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert left <= 64 * 1024, f"{left} bytes left traced"
+
+
 # -- certify-h2 --------------------------------------------------------
 
 
@@ -550,7 +570,6 @@ def test_a_misnamed_relator_instance_stops_homology(monkeypatch, capsys):
     k = next(k for k, rel in enumerate(rels) if rel.label == "R2-2(1,2,4)")
     rels[k] = rels[k]._replace(indices=(2, 1, 4))
     monkeypatch.setattr(homology, "reduced_relators", lambda n: tuple(rels))
-    homology.phi_matrix.cache_clear()  # so phi is rebuilt; a call that raises leaves no entry
     code, out, err = run_cli(capsys, "homology", "--n", "4")
     assert code == EXIT_VERIFY
     assert out == ""

@@ -924,7 +924,6 @@ def test_phi_rechecks_each_family_last_instance(monkeypatch):
         return (i, j, sub if op is add else add) if abs(s) == bad else (i, j, op)
 
     monkeypatch.setattr(homology, "_transvection", transvection)
-    phi_matrix.cache_clear()  # so phi is rebuilt; a call that raises leaves no entry
     with pytest.raises(ConsistencyError, match=r"R2-1\(3,2\): its renamed blocks"):
         phi_matrix(3, "H")
 
