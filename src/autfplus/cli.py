@@ -116,13 +116,18 @@ def build_parser() -> _Parser:
     return p
 
 
-def _non_directory_on(path: str) -> str | None:
-    """The nearest existing one of path and its ancestors, if it is not a
-    directory: then no directory can be made at path."""
+def _unwritable(path: str) -> str | None:
+    """Why no directory can be made, or file written, at path, if none can:
+    the nearest existing one of path and its ancestors is not a directory,
+    or is one this process may not write to and search."""
     p = os.path.abspath(path)
     while not os.path.exists(p):
         p = os.path.dirname(p)
-    return None if os.path.isdir(p) else p
+    if not os.path.isdir(p):
+        return f"{p} exists and is not a directory"
+    if not os.access(p, os.W_OK | os.X_OK):
+        return f"{p} is a directory this process cannot write to"
+    return None
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -146,14 +151,14 @@ def parse_config(argv=None) -> RunConfig:
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir == "":
         raise ConfigError("--cache-dir is empty: it must name a directory")
-    if cache_dir is not None and (bad := _non_directory_on(cache_dir)):
-        raise ConfigError(f"--cache-dir {cache_dir}: {bad} exists and is not a directory")
+    if cache_dir is not None and (bad := _unwritable(cache_dir)):
+        raise ConfigError(f"--cache-dir {cache_dir}: {bad}")
     if args.out == "":
         raise ConfigError("--out is empty: it must name a file")
     if args.out and os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory")
-    if args.out and (bad := _non_directory_on(os.path.dirname(os.path.abspath(args.out)))):
-        raise ConfigError(f"--out {args.out}: {bad} exists and is not a directory")
+    if args.out and (bad := _unwritable(os.path.dirname(os.path.abspath(args.out)))):
+        raise ConfigError(f"--out {args.out}: {bad}")
     return RunConfig(
         command=args.command,
         n=args.n,

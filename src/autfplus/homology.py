@@ -435,6 +435,14 @@ def _rows(mat: IntMatrix) -> list[Row]:
     return out
 
 
+def _matrix(rows: list[Row], ncols: int) -> IntMatrix:
+    """The inverse of `_rows`: the matrix of the sparse rows, `data` filled
+    row by row."""
+    mat = IntMatrix(len(rows), ncols)
+    mat.data = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return mat
+
+
 def _product(x: list[Row], y: list[Row]) -> list[Row]:
     """The product of two matrices given as sparse rows, y one per column of x."""
     out = []
@@ -677,11 +685,7 @@ def column_echelon(mat: IntMatrix) -> IntMatrix:
             else:
                 g, x, y = _xgcd(a, b)
                 pivots[lead], c = _combine(x, p, y, c), _combine(a // g, c, -(b // g), p)
-    out = IntMatrix(mat.nrows, len(pivots))
-    for jj, lead in enumerate(sorted(pivots)):
-        for i, v in pivots[lead].items():
-            out.data[(i, jj)] = v
-    return out
+    return _matrix(_transpose([pivots[lead] for lead in sorted(pivots)], mat.nrows), len(pivots))
 
 
 # -- mod-p rank (cross-check only) ------------------------------------
@@ -693,19 +697,14 @@ def rank_mod_p(mat: IntMatrix, p: int) -> int:
     Rows are reduced mod p and inserted, in row order, into a basis of monic
     rows keyed by their leading (smallest) column; the rank is the size of
     that basis.  Rank over a field does not depend on the pivot order, and
-    nothing here is shared with the SNF path, so the routine only ever
-    cross-checks exact results.
+    nothing but the `_rows` conversion is shared with the SNF path, so the
+    routine only ever cross-checks exact results.
     """
     if not (p > 2 and all(p % k for k in range(2, int(p**0.5) + 1))):
         raise ValueError(f"rank_mod_p needs an odd prime, got {p}")
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in mat.data.items():
-        v %= p
-        if v:
-            rows.setdefault(i, {})[j] = v
-    basis: dict[int, dict[int, int]] = {}
-    for i in sorted(rows):
-        row = rows[i]
+    basis: dict[int, Row] = {}
+    for row in _rows(mat):
+        row = {c: w for c, v in row.items() if (w := v % p)}
         while row:
             lead = min(row)
             piv = basis.get(lead)

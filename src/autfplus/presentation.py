@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 from . import words
 from .nielsen import Automorphism, identity_aut, monomial_letter_perm, nielsen_aut
@@ -152,40 +152,28 @@ def reduced_relators(n: int) -> tuple[Relator, ...]:
     check_rank(n)
     E = lambda a, b: embed_E(n, a, b)
     comm = words.commutator
-    rels: list[Relator] = []
-
-    def add(family: str, idx: Sequence[int], word: Word) -> None:
-        rels.append(Relator(relator_label(family, *idx), family, tuple(idx), word))
-
-    for i, j in permutations(range(1, n + 1), 2):
-        add("R2-1", (i, j), comm(E(i, j), E(-i, j)))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R2-2", (i, j, k), comm(E(i, j), E(k, j)))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R2-3", (i, j, k), comm(E(-i, j), E(k, j)))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R2-4", (i, j, k), comm(E(-i, j), E(-k, j)))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R2-5", (i, j, k), comm(E(i, j), E(-i, k)))
-    for i, j, k, l in permutations(range(1, n + 1), 4):
-        add("R2-6", (i, j, k, l), comm(E(i, j), E(k, l)))
-    for i, j, k, l in permutations(range(1, n + 1), 4):
-        add("R2-7", (i, j, k, l), comm(E(-i, j), E(k, l)))
-    for i, j, k, l in permutations(range(1, n + 1), 4):
-        add("R2-8", (i, j, k, l), comm(E(-i, j), E(-k, l)))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R3-1", (i, j, k), r_xword(n, i, j, k))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R3-2", (i, j, k), r_xword(n, i, j, -k))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R3-3", (i, j, k), r_xword(n, -i, j, k))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        add("R3-4", (i, j, k), r_xword(n, -i, j, -k))
-    for i, j in permutations(range(1, n + 1), 2):
-        add("R4-1", (i, j), h_xword(n, i, j))
-    for i, j in permutations(range(1, n + 1), 2):
-        add("R5-1", (i, j), words.power(w_xword(n, i, j), 4))
-    return tuple(rels)
+    # (family, arity, word of the indices), in the order of the list
+    families = (
+        ("R2-1", 2, lambda i, j: comm(E(i, j), E(-i, j))),
+        ("R2-2", 3, lambda i, j, k: comm(E(i, j), E(k, j))),
+        ("R2-3", 3, lambda i, j, k: comm(E(-i, j), E(k, j))),
+        ("R2-4", 3, lambda i, j, k: comm(E(-i, j), E(-k, j))),
+        ("R2-5", 3, lambda i, j, k: comm(E(i, j), E(-i, k))),
+        ("R2-6", 4, lambda i, j, k, l: comm(E(i, j), E(k, l))),
+        ("R2-7", 4, lambda i, j, k, l: comm(E(-i, j), E(k, l))),
+        ("R2-8", 4, lambda i, j, k, l: comm(E(-i, j), E(-k, l))),
+        ("R3-1", 3, lambda i, j, k: r_xword(n, i, j, k)),
+        ("R3-2", 3, lambda i, j, k: r_xword(n, i, j, -k)),
+        ("R3-3", 3, lambda i, j, k: r_xword(n, -i, j, k)),
+        ("R3-4", 3, lambda i, j, k: r_xword(n, -i, j, -k)),
+        ("R4-1", 2, lambda i, j: h_xword(n, i, j)),
+        ("R5-1", 2, lambda i, j: words.power(w_xword(n, i, j), 4)),
+    )
+    return tuple(
+        Relator(relator_label(family, *idx), family, idx, word(*idx))
+        for family, arity, word in families
+        for idx in permutations(range(1, n + 1), arity)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -34,10 +34,15 @@ from .homology import (
     ConsistencyError,
     IntMatrix,
     LModule,
+    Row,
     SmallMatrix,
     _eye_small,
     _letter_times,
     _lmodule_from_cokernel,
+    _matrix,
+    _product,
+    _rows,
+    _transpose,
     column_echelon,
     phi_matrix,
     snf_cached,
@@ -655,27 +660,18 @@ def _resolve_families(families: Sequence[str] | None) -> list[str]:
     return chosen
 
 
-def _in_ker_phi(row: dict[int, int], phi_cols: dict[int, list[tuple[int, int]]]) -> bool:
-    acc: dict[int, int] = {}
-    for g, c in row.items():
-        for i, v in phi_cols.get(g, ()):
-            acc[i] = acc.get(i, 0) + c * v
-    return not any(acc.values())
-
-
-def _phi_columns(n: int, coeff: str) -> dict[int, list[tuple[int, int]]]:
-    """The relator columns of phi, as (row, value) lists keyed by column."""
-    phi_cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in phi_matrix(n, coeff).data.items():
-        phi_cols.setdefault(j, []).append((i, v))
-    return phi_cols
+def _phi_columns(n: int, coeff: str) -> list[Row]:
+    """The relator columns of phi as sparse rows (phi's transpose): a
+    relation row lies in ker(phi) iff its `_product` with them is empty."""
+    phi = phi_matrix(n, coeff)
+    return _transpose(_rows(phi), phi.ncols)
 
 
 def _audit_elimination(
     pivot_cols: list[int],
     pivot_rows: list[dict[int, int]],
     residual_rows: list[dict[int, int]],
-    phi_cols: dict[int, list[tuple[int, int]]],
+    phi_cols: list[Row],
 ) -> None:
     """Check the eliminator's output before the bound is read off it.
 
@@ -696,8 +692,8 @@ def _audit_elimination(
         if any(cc in order for cc in row):
             raise ConsistencyError(f"residual row {j} has an entry at a pivot column")
     for kind, rows in (("pivot", pivot_rows), ("residual", residual_rows)):
-        for j, row in enumerate(rows):
-            if not _in_ker_phi(row, phi_cols):
+        for j, image in enumerate(_product(rows, phi_cols)):
+            if image:
                 raise ConsistencyError(f"{kind} row {j} is not in ker(phi)")
 
 
@@ -705,7 +701,7 @@ def _collect_rows(
     n: int,
     coeff: str,
     chosen: Sequence[str],
-    phi_cols: dict[int, list[tuple[int, int]]],
+    phi_cols: list[Row],
     progress: Callable[[str], None] | None,
 ) -> tuple[RowStore, list[FamilyReport], dict[str, float]]:
     """Fold every certificate of the chosen families into the row store,
@@ -744,7 +740,7 @@ def _collect_rows(
                 if res == "zero":
                     zeros += 1
                 elif res == "new":
-                    if not _in_ker_phi(row, phi_cols):
+                    if _product([row], phi_cols)[0]:
                         raise HarvestError(
                             f"{tag}/{name} instance {inst}: relation row is not in ker(phi)"
                         )
@@ -829,12 +825,10 @@ def _account(
     divisors: tuple[int, ...] = ()
     if residual_rows:
         col_of = {c: k for k, c in enumerate(survivors)}
+        rows = [{col_of[c]: v for c, v in row.items()} for row in residual_rows]
         # transpose (residual rows become columns), compress the column
         # lattice by sparse integer echelon, then factor the slab that's left
-        mat = IntMatrix(len(survivors), len(residual_rows))
-        for j, row in enumerate(residual_rows):
-            for c, v in row.items():
-                mat.data[(col_of[c], j)] = v
+        mat = _matrix(_transpose(rows, len(survivors)), len(residual_rows))
         divisors = snf_cached(column_echelon(mat), None).nonzero_divisors()
     module = _lmodule_from_cokernel(len(survivors), divisors)
     return module.min_generators(), divisors, module
@@ -845,12 +839,7 @@ def _compact_matrix(
     residual_rows: list[dict[int, int]],
     ncols: int,
 ) -> IntMatrix:
-    rows = list(pivot_rows) + list(residual_rows)
-    mat = IntMatrix(len(rows), ncols)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            mat.data[(i, c)] = v
-    return mat
+    return _matrix(pivot_rows + residual_rows, ncols)
 
 
 # -- survivor documentation --------------------------------------------

@@ -150,6 +150,28 @@ def test_unusable_output_paths_are_config_errors(capsys, tmp_path, monkeypatch):
     assert parse_config(["homology", "--n", "3", "--cache-dir", str(tmp_path)]).cache_dir == str(tmp_path)
 
 
+def test_unwritable_output_directories_are_config_errors(capsys, tmp_path, monkeypatch):
+    # os.access stands in for directory modes, which a root process ignores
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    real = os.access
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: p != str(locked) and real(p, mode))
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    for argv in (
+        ["homology", "--n", "3", "--cache-dir", str(locked)],
+        ["certify-h2", "--n", "3", "--cache-dir", str(locked / "new" / "cache")],
+        ["verify", "--n", "3", "--out", str(locked / "report.json")],
+        ["homology", "--n", "3", "--out", str(locked / "sub" / "report.json")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG, argv
+        assert out == ""
+        assert f"{locked} is a directory this process cannot write to" in err, argv
+    # a writable directory beside it is accepted
+    ok = str(tmp_path / "ok")
+    assert parse_config(["homology", "--n", "3", "--cache-dir", ok]).cache_dir == ok
+
+
 def test_bad_invocations_exit_with_config_code(capsys):
     for argv in (
         ["verify", "--n", "1"],

@@ -42,6 +42,8 @@ from autfplus.homology import (
     _dense,
     _letter_times,
     _lmodule_from_cokernel,
+    _matrix,
+    _rows,
     _transvection,
     check_chain_condition,
     column_echelon,
@@ -365,6 +367,41 @@ def test_intmatrix_parse_refuses_what_dump_never_writes(text, match):
 def test_intmatrix_parse_reads_back_d1_and_phi(n, coeff):
     for m in (d1_matrix(n, coeff), phi_matrix(n, coeff)):
         assert IntMatrix.parse(m.dump()) == m
+
+
+def test_matrix_is_the_inverse_of_rows():
+    # seeded sparse rows, columns in random order, with zero rows, 0 x k and
+    # n x 0 shapes: _rows(_matrix(.)) gives them back, each row's columns in
+    # their order
+    rng = random.Random(26)
+    for _ in range(200):
+        m, k = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.choice((0.0, 0.3, 0.8))
+        rows = []
+        for _ in range(m):
+            cols = [j for j in range(k) if rng.random() < density]
+            rng.shuffle(cols)
+            rows.append({j: rng.choice((-3, -1, 1, 2, 5)) for j in cols})
+        mat = _matrix(rows, k)
+        assert (mat.nrows, mat.ncols) == (m, k)
+        back = _rows(mat)
+        assert [list(r.items()) for r in back] == [list(r.items()) for r in rows]
+        # data is filled row by row, in each row's order
+        assert list(mat.data.items()) == [((i, j), v) for i, r in enumerate(rows) for j, v in r.items()]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("coeff", ["H", "Hdual"])
+def test_rows_and_matrix_round_trip_phi(n, coeff):
+    phi = phi_matrix(n, coeff)
+    back = _matrix(_rows(phi), phi.ncols)
+    assert back == phi
+    # the round trip groups phi's entries by row, each row's in phi's order,
+    # and a second one changes nothing, the order included
+    assert list(back.data) == sorted(phi.data, key=lambda ij: ij[0])
+    assert list(_matrix(_rows(back), back.ncols).data.items()) == list(back.data.items())
+    digest = hashlib.sha256(repr(list(phi.data.items())).encode()).hexdigest()
+    assert digest == DATA_ORDER_SHA256[(n, coeff, "phi")]
 
 
 def test_chain_condition_check_matches_a_dense_product():

@@ -863,12 +863,13 @@ def test_audit_rejects_a_wrong_merge_multiplier(monkeypatch):
 
 def test_audit_checks_residual_rows():
     phi_cols = _phi_columns(3, "H")
+    no_phi = [{} for _ in phi_cols]  # an all-zero phi: every row is in ker(phi)
     with pytest.raises(ConsistencyError, match="residual row 0 has an entry at a pivot column"):
-        _audit_elimination([0], [{0: 1}], [{0: 3}], {})
-    g = min(phi_cols)
+        _audit_elimination([0], [{0: 1}], [{0: 3}], no_phi)
+    g = next(g for g, col in enumerate(phi_cols) if col)
     with pytest.raises(ConsistencyError, match="residual row 0 is not in ker"):
         _audit_elimination([], [], [{g: 1}], phi_cols)
-    _audit_elimination([0, 1], [{0: -2, 1: 3}, {1: 4}], [{2: 3}], {})
+    _audit_elimination([0, 1], [{0: -2, 1: 3}, {1: 4}], [{2: 3}], no_phi)
 
 
 # -- survivor reporting -------------------------------------------------
